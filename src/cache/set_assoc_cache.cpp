@@ -7,7 +7,9 @@ namespace cop {
 SetAssocCache::SetAssocCache(const CacheConfig &cfg) : cfg_(cfg)
 {
     cfg_.validate();
-    lines_.resize(cfg_.sets() * cfg_.ways);
+    tags_.assign(cfg_.sets() * cfg_.ways, kNoTag);
+    lru_.resize(cfg_.sets() * cfg_.ways);
+    state_.resize(cfg_.sets() * cfg_.ways);
     spill_.resize(cfg_.sets());
     setMask_ = cfg_.sets() - 1;
 }
@@ -18,24 +20,26 @@ SetAssocCache::setIndex(Addr block_addr) const
     return (block_addr / kBlockBytes) & setMask_;
 }
 
-SetAssocCache::Line *
-SetAssocCache::lookup(Addr block_addr)
-{
-    Line *base = setBase(setIndex(block_addr));
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (base[w].valid && base[w].tag == block_addr)
-            return base + w;
-    }
-    return nullptr;
-}
-
-const SetAssocCache::Line *
+size_t
 SetAssocCache::lookup(Addr block_addr) const
 {
-    const Line *base = setBase(setIndex(block_addr));
+    const size_t base = setIndex(block_addr) * cfg_.ways;
+    const Addr *tags = tags_.data() + base;
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if (base[w].valid && base[w].tag == block_addr)
+        if (tags[w] == block_addr)
             return base + w;
+    }
+    return kNoLine;
+}
+
+CacheLineState *
+SetAssocCache::findSpilled(Addr block_addr)
+{
+    if (spilled_ == 0)
+        return nullptr;
+    for (auto &[addr, state] : spill_[setIndex(block_addr)]) {
+        if (addr == block_addr)
+            return &state;
     }
     return nullptr;
 }
@@ -43,14 +47,16 @@ SetAssocCache::lookup(Addr block_addr) const
 bool
 SetAssocCache::access(Addr block_addr, bool is_write)
 {
+    COP_ASSERT(block_addr != kNoTag);
     ++clock_;
-    if (Line *line = lookup(block_addr)) {
-        line->lru = clock_;
-        line->state.dirty |= is_write;
-        if (is_write && line->state.alias) {
+    if (const size_t i = lookup(block_addr); i != kNoLine) {
+        lru_[i] = clock_;
+        CacheLineState &state = state_[i];
+        state.dirty |= is_write;
+        if (is_write && state.alias) {
             // A store changed the content; whether it still aliases is
             // re-decided by the encoder at the next eviction attempt.
-            line->state.alias = false;
+            state.alias = false;
             --stats_.aliasPinned;
         }
         ++stats_.hits;
@@ -58,13 +64,11 @@ SetAssocCache::access(Addr block_addr, bool is_write)
     }
     // Spill list (overflowed pinned set): a hit here models following
     // the per-set overflow pointer into DRAM.
-    for (auto &[addr, state] : spill_[setIndex(block_addr)]) {
-        if (addr == block_addr) {
-            state.dirty |= is_write;
-            ++stats_.hits;
-            ++stats_.spillHits;
-            return true;
-        }
+    if (CacheLineState *state = findSpilled(block_addr)) {
+        state->dirty |= is_write;
+        ++stats_.hits;
+        ++stats_.spillHits;
+        return true;
     }
     ++stats_.misses;
     return false;
@@ -73,13 +77,13 @@ SetAssocCache::access(Addr block_addr, bool is_write)
 bool
 SetAssocCache::probe(Addr block_addr) const
 {
-    if (lookup(block_addr) != nullptr)
+    if (lookup(block_addr) != kNoLine)
         return true;
-    for (const auto &[addr, state] : spill_[setIndex(block_addr)]) {
-        if (addr == block_addr)
-            return true;
-    }
-    return false;
+    return spilled_ != 0 &&
+           std::ranges::any_of(spill_[setIndex(block_addr)],
+                               [&](const auto &e) {
+                                   return e.first == block_addr;
+                               });
 }
 
 CacheEviction
@@ -87,47 +91,53 @@ SetAssocCache::insert(Addr block_addr, bool dirty,
                       const EvictFilter &can_evict,
                       CacheLineState **installed)
 {
+    COP_ASSERT(block_addr != kNoTag);
     ++clock_;
     const u64 set = setIndex(block_addr);
-    Line *base = setBase(set);
+    const size_t base = set * cfg_.ways;
+    Addr *tags = tags_.data() + base;
+    u64 *lru = lru_.data() + base;
+    CacheLineState *state = state_.data() + base;
+    constexpr unsigned kNone = ~0u;
+    // With no line pinned anywhere, no way is excluded and the alias
+    // bits need not be read.
+    const bool any_pinned = stats_.aliasPinned != 0;
 
     // One fused pass: duplicate check (reachable through any caller
     // that races lookup/insert — inserting a resident block would
     // leave two lines for one address), first invalid way, and the
     // LRU-minimum among unpinned lines. Way order and the strict `<`
     // keep victim choice identical to separate scans.
-    Line *victim = nullptr;
-    Line *candidate = nullptr;
+    unsigned victim = kNone;
+    unsigned candidate = kNone;
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        Line &line = base[w];
-        if (!line.valid) {
-            if (victim == nullptr)
-                victim = &line;
+        if (tags[w] == kNoTag) {
+            if (victim == kNone)
+                victim = w;
             continue;
         }
-        if (line.tag == block_addr)
+        if (tags[w] == block_addr)
             COP_PANIC("insert of already-resident block " +
                       std::to_string(block_addr));
-        if (!line.state.alias &&
-            (candidate == nullptr || line.lru < candidate->lru))
-            candidate = &line;
+        if ((!any_pinned || !state[w].alias) &&
+            (candidate == kNone || lru[w] < lru[candidate]))
+            candidate = w;
     }
 
     // Victim selection: invalid way first, then LRU among lines that
     // are not alias-pinned. A dirty candidate the filter rejects is
     // itself an alias: pin it and move on to the next-LRU line.
-    while (victim == nullptr && candidate != nullptr) {
-        if (can_evict && candidate->state.dirty &&
-            !can_evict(candidate->tag, candidate->state)) {
-            candidate->state.alias = true;
+    while (victim == kNone && candidate != kNone) {
+        if (can_evict && state[candidate].dirty &&
+            !can_evict(tags[candidate], state[candidate])) {
+            state[candidate].alias = true;
             ++stats_.aliasPinned;
-            candidate = nullptr;
+            candidate = kNone;
             for (unsigned w = 0; w < cfg_.ways; ++w) {
-                Line &line = base[w];
-                if (line.state.alias)
+                if (state[w].alias)
                     continue;
-                if (candidate == nullptr || line.lru < candidate->lru)
-                    candidate = &line;
+                if (candidate == kNone || lru[w] < lru[candidate])
+                    candidate = w;
             }
             continue;
         }
@@ -135,10 +145,11 @@ SetAssocCache::insert(Addr block_addr, bool dirty,
     }
 
     CacheEviction evicted;
-    if (victim == nullptr) {
+    if (victim == kNone) {
         // Every way pinned: overflow the set (Section 3.1's linked-list
         // spill). Exceedingly rare; correctness only.
         ++stats_.setOverflows;
+        ++spilled_;
         spill_[set].push_back(
             {block_addr, CacheLineState{dirty, false, false}});
         if (installed != nullptr)
@@ -146,34 +157,29 @@ SetAssocCache::insert(Addr block_addr, bool dirty,
         return evicted;
     }
 
-    if (victim->valid) {
+    if (tags[victim] != kNoTag) {
         ++stats_.evictions;
-        if (victim->state.dirty)
+        if (state[victim].dirty)
             ++stats_.dirtyEvictions;
         evicted.valid = true;
-        evicted.addr = victim->tag;
-        evicted.state = victim->state;
+        evicted.addr = tags[victim];
+        evicted.state = state[victim];
     }
 
-    victim->valid = true;
-    victim->tag = block_addr;
-    victim->lru = clock_;
-    victim->state = CacheLineState{dirty, false, false};
+    tags[victim] = block_addr;
+    lru[victim] = clock_;
+    state[victim] = CacheLineState{dirty, false, false};
     if (installed != nullptr)
-        *installed = &victim->state;
+        *installed = &state[victim];
     return evicted;
 }
 
 CacheLineState *
 SetAssocCache::findState(Addr block_addr)
 {
-    if (Line *line = lookup(block_addr))
-        return &line->state;
-    for (auto &[addr, state] : spill_[setIndex(block_addr)]) {
-        if (addr == block_addr)
-            return &state;
-    }
-    return nullptr;
+    if (const size_t i = lookup(block_addr); i != kNoLine)
+        return &state_[i];
+    return findSpilled(block_addr);
 }
 
 void
@@ -199,14 +205,17 @@ SetAssocCache::setAlias(CacheLineState &state, bool alias)
 void
 SetAssocCache::invalidate(Addr block_addr)
 {
-    if (Line *line = lookup(block_addr)) {
-        if (line->state.alias)
+    if (const size_t i = lookup(block_addr); i != kNoLine) {
+        if (state_[i].alias)
             --stats_.aliasPinned;
-        *line = Line{};
+        tags_[i] = kNoTag;
+        lru_[i] = 0;
+        state_[i] = CacheLineState{};
         return;
     }
-    std::erase_if(spill_[setIndex(block_addr)],
-                  [&](const auto &e) { return e.first == block_addr; });
+    spilled_ -= std::erase_if(
+        spill_[setIndex(block_addr)],
+        [&](const auto &e) { return e.first == block_addr; });
 }
 
 std::vector<CacheEviction>
@@ -216,12 +225,12 @@ SetAssocCache::drainDirty()
     // Per-set (ways, then that set's spill) order — callers replay the
     // drained writebacks in sequence, so the order is part of results.
     for (u64 s = 0; s <= setMask_; ++s) {
-        Line *base = setBase(s);
-        for (unsigned w = 0; w < cfg_.ways; ++w) {
-            Line &line = base[w];
-            if (line.valid && line.state.dirty) {
-                drained.push_back({true, line.tag, line.state});
-                line.state.dirty = false;
+        const size_t base = s * cfg_.ways;
+        for (size_t i = base; i < base + cfg_.ways; ++i) {
+            CacheLineState &state = state_[i];
+            if (tags_[i] != kNoTag && state.dirty) {
+                drained.push_back({true, tags_[i], state});
+                state.dirty = false;
             }
         }
         for (auto &[addr, state] : spill_[s]) {

@@ -12,6 +12,13 @@
  *  - `wasUncompressed`: the block was stored uncompressed in DRAM when
  *    read (COP-ER uses this on writeback to decide whether an ECC-region
  *    entry already exists).
+ *
+ * Layout: line tags, LRU stamps and state bits sit in three parallel
+ * arrays, so a lookup scans only the tags (8 bytes per way: two host
+ * cache lines for a 16-way set), victim selection reads the stamps and
+ * — only while some line is alias-pinned — the state bits. Invalid
+ * ways hold a tag no block address can take. The spill lists are
+ * skipped entirely while no set has spilled.
  */
 
 #ifndef COP_CACHE_SET_ASSOC_CACHE_HPP
@@ -149,36 +156,31 @@ class SetAssocCache
     const CacheStats &stats() const { return stats_; }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        Addr tag = 0;
-        u64 lru = 0;
-        CacheLineState state;
-    };
+    /** Tag of an invalid way: not 64-byte aligned, so never a block. */
+    static constexpr Addr kNoTag = ~Addr{0};
+    /** lookup() result for a block in no way of its set. */
+    static constexpr size_t kNoLine = ~size_t{0};
 
     /** Overflowed (spilled) blocks of one set, modelling the list. */
     using SpillList = std::vector<std::pair<Addr, CacheLineState>>;
 
     u64 setIndex(Addr block_addr) const;
-    /** First way of a set in the flat line array. */
-    Line *setBase(u64 set) { return lines_.data() + set * cfg_.ways; }
-    const Line *
-    setBase(u64 set) const
-    {
-        return lines_.data() + set * cfg_.ways;
-    }
-    Line *lookup(Addr block_addr);
-    const Line *lookup(Addr block_addr) const;
+    /** Index of the resident line holding @p block_addr, or kNoLine. */
+    size_t lookup(Addr block_addr) const;
+    /** The spill-list entry of @p block_addr, or null. */
+    CacheLineState *findSpilled(Addr block_addr);
 
     CacheConfig cfg_;
     /**
-     * All lines in one flat array (sets x ways, set-major) — one
-     * allocation, one indirection on the hot lookup path instead of a
-     * per-set vector hop.
+     * Per-line tag, LRU stamp and state, each in a flat array indexed
+     * the same way (sets x ways, set-major).
      */
-    std::vector<Line> lines_;
+    std::vector<Addr> tags_;
+    std::vector<u64> lru_;
+    std::vector<CacheLineState> state_;
     std::vector<SpillList> spill_;
+    /** Blocks currently in spill lists (0: lookups skip them). */
+    u64 spilled_ = 0;
     u64 setMask_ = 0;
     u64 clock_ = 0;
     CacheStats stats_;

@@ -11,7 +11,11 @@
  * common/plru.hpp — the original direct-mapped table thrashed when two
  * hot contents hashed to one slot) but keyed on the FULL 64-byte
  * block: a way only answers when its stored key compares equal, so a
- * hash collision evicts rather than corrupts. See DESIGN.md.
+ * hash collision evicts rather than corrupts. See DESIGN.md. Each set
+ * starts with a header holding the four ways' content hashes, so a
+ * lookup compares 64-byte keys only in a way whose hash matches (equal
+ * keys always have equal hashes, so the filter never changes an
+ * answer).
  *
  * One memo per System (never shared across parallel workers), so grid
  * runs stay deterministic at every worker count.
@@ -64,24 +68,26 @@ class EncodeMemo
             schemeTrials_ += scratch_.schemeTrials;
             return scratch_;
         }
-        Set &set = sets_[contentHash(data) & mask_];
+        const u64 hash = contentHash(data);
+        Set &set = sets_[hash & mask_];
         unsigned way = kWays;
         for (unsigned w = 0; w < kWays; ++w) {
-            Entry &e = set.ways[w];
-            if (e.valid && e.key == data) {
+            if ((set.valid >> w & 1) == 0) {
+                if (way == kWays)
+                    way = w;
+            } else if (set.hashes[w] == hash && set.ways[w].key == data) {
                 ++hits_;
                 set.plru.touch(w);
-                return e.result;
+                return set.ways[w].result;
             }
-            if (way == kWays && !e.valid)
-                way = w;
         }
         if (way == kWays) {
             way = set.plru.victim();
             ++conflictEvictions_;
         }
         Entry &e = set.ways[way];
-        e.valid = true;
+        set.hashes[way] = hash;
+        set.valid |= static_cast<u8>(1u << way);
         e.key = data;
         e.result = missEncode(codec, data);
         schemeTrials_ += e.result.schemeTrials;
@@ -113,15 +119,18 @@ class EncodeMemo
   private:
     struct Entry
     {
-        bool valid = false;
         CacheBlock key;
         CopEncodeResult result;
     };
 
     struct Set
     {
-        Entry ways[kWays];
+        /** Content hash of each valid way's key. */
+        u64 hashes[kWays] = {};
+        /** Bit w set: way w holds an entry. */
+        u8 valid = 0;
         Plru4 plru;
+        Entry ways[kWays];
     };
 
     /** Multiply-xor mix of the eight block words. */

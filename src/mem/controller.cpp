@@ -74,30 +74,30 @@ MemoryController::noteTransferBits(Addr addr, unsigned bits)
         xferBeats_[addr] = static_cast<u8>(clamped);
 }
 
-const CacheBlock &
-MemoryController::storedImage(Addr addr)
+StoredBlock &
+MemoryController::insertImage(const BlockProbe &p, const CacheBlock &stored)
 {
-    auto it = image_.find(addr);
-    if (it == image_.end()) {
-        it = image_.emplace(addr, content_(addr)).first;
-        imageWritten(addr);
-        if (fault_.enabled)
-            applyStuckBits(addr);
-    }
-    return it->second;
+    StoredBlock &rec =
+        blocks_.insert(p, StoredBlock{stored, takeDroppedClock(p.key())});
+    imageStored(p.key());
+    return rec;
 }
 
-CacheBlock *
-MemoryController::imageOf(Addr addr)
+StoredBlock &
+MemoryController::setImage(Addr addr, const CacheBlock &stored)
 {
-    auto it = image_.find(addr);
-    return it == image_.end() ? nullptr : &it->second;
+    auto [it, inserted] = blocks_.emplace(addr);
+    StoredBlock &rec = it->second;
+    rec.image = stored;
+    if (inserted)
+        rec.lastWrite = takeDroppedClock(addr);
+    imageStored(addr);
+    return rec;
 }
 
 void
-MemoryController::setImage(Addr addr, const CacheBlock &stored)
+MemoryController::imageStored(Addr addr)
 {
-    image_[addr] = stored;
     imageWritten(addr);
     if (fault_.enabled) {
         fault_.faulted.erase(addr);
@@ -106,22 +106,26 @@ MemoryController::setImage(Addr addr, const CacheBlock &stored)
     }
 }
 
+Cycle
+MemoryController::takeDroppedClock(Addr addr)
+{
+    if (droppedClocks_.empty())
+        return 0;
+    const auto it = droppedClocks_.find(addr);
+    if (it == droppedClocks_.end())
+        return 0;
+    const Cycle clock = it->second;
+    droppedClocks_.erase(addr);
+    return clock;
+}
+
 void
-MemoryController::logVuln(VulnClass cls, Addr addr, Cycle now)
+MemoryController::logVuln(VulnClass cls, const StoredBlock &rec, Cycle now)
 {
     lastFillClass_ = cls;
     if (opMode_ != OpMode::Demand)
         return; // retries/scrub re-decode; not a new exposure
-    Cycle since = 0;
-    if (auto it = lastWrite_.find(addr); it != lastWrite_.end())
-        since = it->second;
-    vuln_.record(cls, now >= since ? now - since : 0);
-}
-
-void
-MemoryController::noteWrite(Addr addr, Cycle now)
-{
-    lastWrite_[addr] = now;
+    vuln_.record(cls, now >= rec.lastWrite ? now - rec.lastWrite : 0);
 }
 
 void
@@ -245,17 +249,17 @@ void
 MemoryController::flipStoredBit(Addr addr, unsigned bit)
 {
     COP_ASSERT(bit < kBlockBits);
-    CacheBlock *img = imageOf(addr);
-    COP_ASSERT(img != nullptr);
-    img->flipBit(bit);
+    StoredBlock *rec = blockOf(addr);
+    COP_ASSERT(rec != nullptr);
+    rec->image.flipBit(bit);
 }
 
 std::vector<Addr>
 MemoryController::imageAddressesSorted() const
 {
     std::vector<Addr> out;
-    out.reserve(image_.size());
-    for (const auto &kv : image_)
+    out.reserve(blocks_.size());
+    for (const auto &kv : blocks_)
         out.push_back(kv.first);
     std::sort(out.begin(), out.end());
     return out;
@@ -348,8 +352,13 @@ MemoryController::recoveryWriteback(Addr addr, const CacheBlock &data,
         // The repaired content is an incompressible alias, which can
         // never live in DRAM; drop the stored image so the next miss
         // re-runs first-touch handling (and pins the line). The
-        // transfer-size sidecar entry belongs to the dropped image.
-        image_.erase(addr);
+        // transfer-size sidecar entry belongs to the dropped image; the
+        // vulnerability clock does not.
+        if (const StoredBlock *rec = blockOf(addr)) {
+            if (rec->lastWrite != 0)
+                droppedClocks_[addr] = rec->lastWrite;
+            blocks_.erase(addr);
+        }
         xferBeats_.erase(addr);
         fault_.faulted.erase(addr);
         fault_.silentKnown.erase(addr);
@@ -360,7 +369,7 @@ void
 MemoryController::patrolScrub(Addr addr, Cycle now)
 {
     COP_ASSERT(fault_.enabled);
-    if (image_.find(addr) == image_.end())
+    if (blockOf(addr) == nullptr)
         return;
     ++fault_.log.scrubbedBlocks;
     opMode_ = OpMode::Scrub;
@@ -384,8 +393,13 @@ MemoryController::patrolScrub(Addr addr, Cycle now)
             fault_.faulted.insert(addr);
         }
     }
-    if (scrubResetsClock(r))
-        noteWrite(addr, now);
+    if (scrubResetsClock(r)) {
+        // The recovery above may have dropped the image (alias edge).
+        if (StoredBlock *rec = blockOf(addr))
+            noteWrite(*rec, now);
+        else
+            droppedClocks_[addr] = now;
+    }
     opMode_ = OpMode::Demand;
 }
 
@@ -422,9 +436,9 @@ UnprotectedController::readImpl(Addr addr, Cycle now)
     MemReadResult result;
     result.complete = dramRead(addr, now);
     result.dramAccesses = 1;
-    result.data =
-        storedImage(addr);
-    logVuln(VulnClass::Unprotected, addr, now);
+    const StoredBlock &rec = storedBlock(addr);
+    result.data = rec.image;
+    logVuln(VulnClass::Unprotected, rec, now);
     return result;
 }
 
@@ -436,8 +450,7 @@ UnprotectedController::writeback(Addr addr, const CacheBlock &data,
     MemWriteResult result;
     result.complete = dramWrite(addr, now);
     result.dramAccesses = 1;
-    setImage(addr, data);
-    noteWrite(addr, now);
+    noteWrite(setImage(addr, data), now);
     return result;
 }
 
@@ -487,8 +500,8 @@ EccDimmController::readImpl(Addr addr, Cycle now)
     MemReadResult result;
     result.complete = dramRead(addr, now);
     result.dramAccesses = 1;
-    const CacheBlock &img =
-        storedImage(addr);
+    const StoredBlock &rec = storedBlock(addr);
+    const CacheBlock &img = rec.image;
     if (isFaulted(addr)) {
         // Run the real (72,64) decode against the faulted image plus
         // its check-byte sidecar.
@@ -508,7 +521,7 @@ EccDimmController::readImpl(Addr addr, Cycle now)
     } else {
         result.data = img;
     }
-    logVuln(VulnClass::EccDimm, addr, now);
+    logVuln(VulnClass::EccDimm, rec, now);
     return result;
 }
 
@@ -520,8 +533,7 @@ EccDimmController::writeback(Addr addr, const CacheBlock &data, Cycle now,
     MemWriteResult result;
     result.complete = dramWrite(addr, now);
     result.dramAccesses = 1;
-    setImage(addr, data);
-    noteWrite(addr, now);
+    noteWrite(setImage(addr, data), now);
     return result;
 }
 

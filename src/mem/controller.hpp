@@ -88,6 +88,18 @@ struct MemWriteResult
     unsigned dramAccesses = 0;
 };
 
+/**
+ * Main memory's functional state for one block: the image stored in
+ * DRAM and the block's PARMA-style vulnerability clock. Kept in one
+ * record so a fill finds both with a single hash probe.
+ */
+struct StoredBlock
+{
+    CacheBlock image;
+    /** Cycle of the block's last DRAM write (0: none during the run). */
+    Cycle lastWrite = 0;
+};
+
 /** Aggregate controller statistics. */
 struct MemStats
 {
@@ -233,26 +245,28 @@ class MemoryController
     VulnLog &vulnLog() { return vuln_; }
 
     /** Direct access to the stored DRAM image (fault injection). */
-    CacheBlock *imageOf(Addr addr);
-    /** Overwrite the stored image (fault injection). */
-    void setImage(Addr addr, const CacheBlock &stored);
+    CacheBlock *
+    imageOf(Addr addr)
+    {
+        StoredBlock *rec = blockOf(addr);
+        return rec == nullptr ? nullptr : &rec->image;
+    }
+    /**
+     * Overwrite the stored image (creating the block's record on first
+     * store) and return the record.
+     */
+    StoredBlock &setImage(Addr addr, const CacheBlock &stored);
     /** Distinct blocks with a stored image (touched footprint). */
-    u64 imageBlockCount() const { return image_.size(); }
-    /** Allocated image hash slots (load-factor observability). */
-    u64 imageSlotCount() const { return image_.capacity(); }
+    u64 imageBlockCount() const { return blocks_.size(); }
+    /** Allocated stored-block hash slots (load-factor observability). */
+    u64 imageSlotCount() const { return blocks_.capacity(); }
 
     /**
-     * Pre-size the stored-image and write-timestamp maps for an
-     * expected touched footprint of @p blocks. Purely an allocation
-     * hint — variants override to also reserve their check sidecars
-     * (and must call the base).
+     * Pre-size the stored-block map for an expected touched footprint
+     * of @p blocks. Purely an allocation hint — variants override to
+     * also reserve their check sidecars (and must call the base).
      */
-    virtual void
-    reserveFootprint(u64 blocks)
-    {
-        image_.reserve(blocks);
-        lastWrite_.reserve(blocks);
-    }
+    virtual void reserveFootprint(u64 blocks) { blocks_.reserve(blocks); }
 
     // --- fault injection and error recovery ----------------------------
 
@@ -321,8 +335,8 @@ class MemoryController
     virtual MemReadResult readImpl(Addr addr, Cycle now) = 0;
 
     /**
-     * Flip one stored bit. The default handles the 512 data bits in
-     * image_; variants with out-of-block redundancy (check sidecars,
+     * Flip one stored bit. The default handles the 512 data bits of
+     * the stored image; variants with out-of-block redundancy (check sidecars,
      * COP-ER entries) override for indices >= 512.
      */
     virtual void flipStoredBit(Addr addr, unsigned bit);
@@ -384,17 +398,45 @@ class MemoryController
         return content_(addr);
     }
 
+    using BlockProbe = FlatMap<StoredBlock>::Probe;
+
+    /** The record of @p addr, or null when no image is stored. */
+    StoredBlock *
+    blockOf(Addr addr)
+    {
+        const auto it = blocks_.find(addr);
+        return it == blocks_.end() ? nullptr : &it->second;
+    }
+    const StoredBlock *
+    blockOf(Addr addr) const
+    {
+        const auto it = blocks_.find(addr);
+        return it == blocks_.end() ? nullptr : &it->second;
+    }
+
     /**
-     * Fetch the stored image, initialising it on first touch with the
-     * raw application content (the store-it-verbatim schemes; COP
-     * variants initialise through their encoder and setImage instead).
+     * Store @p stored as the first image of the block a probe missed
+     * (setImage without a second probe); returns the new record.
      */
-    const CacheBlock &storedImage(Addr addr);
+    StoredBlock &insertImage(const BlockProbe &p, const CacheBlock &stored);
+
+    /**
+     * The block's record, created on first touch with the raw
+     * application content (the store-it-verbatim schemes; COP variants
+     * initialise through their encoder and insertImage instead).
+     */
+    StoredBlock &
+    storedBlock(Addr addr)
+    {
+        const BlockProbe p = blocks_.probe(addr);
+        return p.found() ? blocks_.at(p)
+                         : insertImage(p, initialContent(addr));
+    }
 
     /** Record a read-from-DRAM reliability observation. */
-    void logVuln(VulnClass cls, Addr addr, Cycle now);
+    void logVuln(VulnClass cls, const StoredBlock &rec, Cycle now);
     /** Record a write (resets the vulnerability clock). */
-    void noteWrite(Addr addr, Cycle now);
+    static void noteWrite(StoredBlock &rec, Cycle now) { rec.lastWrite = now; }
 
     /** Is the stored image of @p addr carrying injected faults? */
     bool
@@ -429,8 +471,8 @@ class MemoryController
     ContentSource content_;
     MemStats stats_;
     VulnLog vuln_;
-    FlatMap<CacheBlock> image_;
-    FlatMap<Cycle> lastWrite_;
+    /** Every block with a stored image. */
+    FlatMap<StoredBlock> blocks_;
     OpMode opMode_ = OpMode::Demand;
 
   private:
@@ -460,11 +502,21 @@ class MemoryController
     /** writeback() for recovery, handling the alias-reject edge. */
     void recoveryWriteback(Addr addr, const CacheBlock &data, Cycle now,
                            bool was_uncompressed);
+    /** Side effects of every image store (sidecars, fault marks). */
+    void imageStored(Addr addr);
+    /** Vulnerability clock a dropped image left behind (0 if none). */
+    Cycle takeDroppedClock(Addr addr);
 
     FaultState fault_;
     AdaptiveStats adaptive_;
     /** Class of the most recent readImpl fill (set by logVuln). */
     VulnClass lastFillClass_ = VulnClass::Unprotected;
+    /**
+     * Vulnerability clocks of blocks whose image a recovery dropped as
+     * an incompressible alias; the clock outlives the image and moves
+     * back into the record when the block is stored again.
+     */
+    FlatMap<Cycle> droppedClocks_;
 
     // --- bandwidth-compression mode state -----------------------------
     bool bwMode_ = false;

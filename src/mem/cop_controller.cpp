@@ -17,8 +17,9 @@ CopController::readImpl(Addr addr, Cycle now)
 
     // First touch: the block was written to DRAM before the trace window
     // through the same encoder.
-    auto it = image_.find(addr);
-    if (it == image_.end()) {
+    const BlockProbe probe = blocks_.probe(addr);
+    StoredBlock *rec = probe.found() ? &blocks_.at(probe) : nullptr;
+    if (rec == nullptr) {
         const CacheBlock &data = initialContent(addr);
         const CopEncodeResult enc = encodeBlock(data);
         if (enc.status == EncodeStatus::AliasRejected) {
@@ -32,7 +33,8 @@ CopController::readImpl(Addr addr, Cycle now)
             return result;
         }
         noteTransferBits(addr, copTransferBits(enc, codec_.config()));
-        setImage(addr, enc.stored); // through setImage: stuck bits apply
+        // Through insertImage, like setImage: stuck bits apply.
+        rec = &insertImage(probe, enc.stored);
         if (!faultInjectionEnabled()) {
             // The image was created by the line above, so nothing can
             // have corrupted it before this fill: decoding it is the
@@ -45,15 +47,14 @@ CopController::readImpl(Addr addr, Cycle now)
             result.data = data;
             result.wasUncompressed = !compressed;
             logVuln(compressed ? protectedClass() : VulnClass::Unprotected,
-                    addr, now);
+                    *rec, now);
             return result;
         }
-        it = image_.find(addr);
     }
 
     const Cycle data_done = dramRead(addr, now);
     const CopDecodeResult &dec =
-        warmOrDecode(warmDecode_, codec_, it->second, decodeScratch_);
+        warmOrDecode(warmDecode_, codec_, rec->image, decodeScratch_);
     result.complete = data_done + decodeLatency_;
     result.dramAccesses = 1;
     result.data = dec.data;
@@ -61,7 +62,7 @@ CopController::readImpl(Addr addr, Cycle now)
     result.detectedUncorrectable = dec.detectedUncorrectable;
     result.correctedError = dec.correctedWords > 0;
     logVuln(dec.compressed ? protectedClass() : VulnClass::Unprotected,
-            addr, now);
+            *rec, now);
     return result;
 }
 
@@ -90,8 +91,7 @@ CopController::writeback(Addr addr, const CacheBlock &data, Cycle now,
     noteTransferBits(addr, copTransferBits(enc, codec_.config()));
     result.complete = dramWrite(addr, now);
     result.dramAccesses = 1;
-    setImage(addr, enc.stored);
-    noteWrite(addr, now);
+    noteWrite(setImage(addr, enc.stored), now);
     return result;
 }
 

@@ -144,12 +144,12 @@ CopErController::storeIncompressible(Addr addr, const CacheBlock &data,
 unsigned
 CopErController::storedBits(Addr addr) const
 {
-    const auto it = image_.find(addr);
-    if (it == image_.end())
+    const StoredBlock *rec = blockOf(addr);
+    if (rec == nullptr)
         return kBlockBits;
     // 512 in-place bits, plus the ECC-region entry for incompressible
     // blocks (34 displaced + 11 check + 1 valid = 46).
-    return codec_.decode(it->second).compressed ? kBlockBits
+    return codec_.decode(rec->image).compressed ? kBlockBits
                                                 : kBlockBits + 46;
 }
 
@@ -183,7 +183,9 @@ MemReadResult
 CopErController::readImpl(Addr addr, Cycle now)
 {
     // First touch: initial memory was stored through the same encoder.
-    if (image_.find(addr) == image_.end()) {
+    const BlockProbe probe = blocks_.probe(addr);
+    StoredBlock *rec = probe.found() ? &blocks_.at(probe) : nullptr;
+    if (rec == nullptr) {
         const CacheBlock &data = initialContent(addr);
         const CopEncodeResult enc = encodeBlock(data);
         // Incompressible blocks ship raw (pointer in place of check
@@ -191,7 +193,7 @@ CopErController::readImpl(Addr addr, Cycle now)
         // stale shortening for the address.
         noteTransferBits(addr, copTransferBits(enc, codec_.config()));
         if (enc.status == EncodeStatus::Protected) {
-            setImage(addr, enc.stored);
+            rec = &insertImage(probe, enc.stored);
             if (!faultInjectionEnabled()) {
                 // The image was created by the line above, so nothing
                 // can have corrupted it before this fill: decoding it
@@ -202,16 +204,17 @@ CopErController::readImpl(Addr addr, Cycle now)
                 result.complete = dramRead(addr, now) + decodeLatency_;
                 result.dramAccesses = 1;
                 result.data = data;
-                logVuln(VulnClass::CopProtected4, addr, now);
+                logVuln(VulnClass::CopProtected4, *rec, now);
                 return result;
             }
         } else {
-            setImage(addr, storeIncompressible(addr, data, now, false, 0));
+            rec = &insertImage(
+                probe, storeIncompressible(addr, data, now, false, 0));
         }
     }
 
     MemReadResult result;
-    const CacheBlock &stored = *imageOf(addr);
+    const CacheBlock &stored = rec->image;
     const Cycle data_done = dramRead(addr, now);
     result.dramAccesses = 1;
 
@@ -222,7 +225,7 @@ CopErController::readImpl(Addr addr, Cycle now)
         result.data = dec.data;
         result.detectedUncorrectable = dec.detectedUncorrectable;
         result.correctedError = dec.correctedWords > 0;
-        logVuln(VulnClass::CopProtected4, addr, now);
+        logVuln(VulnClass::CopProtected4, *rec, now);
         return result;
     }
 
@@ -236,19 +239,19 @@ CopErController::readImpl(Addr addr, Cycle now)
         result.complete = data_done + decodeLatency_;
         result.data = dec.data;
         result.detectedUncorrectable = true;
-        logVuln(VulnClass::CopErUncompressed, addr, now);
+        logVuln(VulnClass::CopErUncompressed, *rec, now);
         return result;
     }
     const Cycle meta_done = entryAccess(ptr.entryIndex, data_done, false);
     ++result.dramAccesses;
-    const CoperDecodeResult rec =
+    const CoperDecodeResult recon =
         coper_.reconstruct(stored, region_.entryAt(ptr.entryIndex));
     result.complete = std::max(data_done, meta_done) + decodeLatency_;
-    result.data = rec.data;
-    result.detectedUncorrectable = rec.blockEcc.uncorrectable();
+    result.data = recon.data;
+    result.detectedUncorrectable = recon.blockEcc.uncorrectable();
     result.correctedError =
-        rec.blockEcc.corrected() || ptr.ecc.corrected();
-    logVuln(VulnClass::CopErUncompressed, addr, now);
+        recon.blockEcc.corrected() || ptr.ecc.corrected();
+    logVuln(VulnClass::CopErUncompressed, *rec, now);
     return result;
 }
 
@@ -282,6 +285,7 @@ CopErController::writeback(Addr addr, const CacheBlock &data, Cycle now,
     // before the data write below.
     noteTransferBits(addr, copTransferBits(enc, codec_.config()));
 
+    StoredBlock *rec = nullptr;
     if (compressible) {
         ++stats_.protectedWrites;
         ++stats_.schemeWrites[static_cast<unsigned>(enc.scheme)];
@@ -294,16 +298,16 @@ CopErController::writeback(Addr addr, const CacheBlock &data, Cycle now,
             maybeReleaseEntryBlock(old_index);
             entryAccess(old_index, now, true);
         }
-        setImage(addr, enc.stored);
+        rec = &setImage(addr, enc.stored);
     } else {
         ++stats_.unprotectedWrites;
-        setImage(addr, storeIncompressible(addr, data, now, have_old,
-                                           old_index));
+        rec = &setImage(addr, storeIncompressible(addr, data, now,
+                                                  have_old, old_index));
     }
 
     result.complete = dramWrite(addr, now);
     result.dramAccesses = 1;
-    noteWrite(addr, now);
+    noteWrite(*rec, now);
     return result;
 }
 

@@ -39,10 +39,10 @@ CopErNaiveController::metaAccess(Addr data_addr, Cycle now, bool dirty)
 unsigned
 CopErNaiveController::storedBits(Addr addr) const
 {
-    const auto it = image_.find(addr);
-    if (it == image_.end())
+    const StoredBlock *rec = blockOf(addr);
+    if (rec == nullptr)
         return kBlockBits;
-    return codec_.decode(it->second).compressed ? kBlockBits
+    return codec_.decode(rec->image).compressed ? kBlockBits
                                                 : kBlockBits + 11;
 }
 
@@ -77,7 +77,9 @@ CopErNaiveController::readImpl(Addr addr, Cycle now)
 {
     MemReadResult result;
 
-    if (image_.find(addr) == image_.end()) {
+    const BlockProbe probe = blocks_.probe(addr);
+    StoredBlock *rec = probe.found() ? &blocks_.at(probe) : nullptr;
+    if (rec == nullptr) {
         const CacheBlock &data = initialContent(addr);
         const CopEncodeResult enc = encodeBlock(data);
         if (enc.status == EncodeStatus::AliasRejected) {
@@ -90,7 +92,7 @@ CopErNaiveController::readImpl(Addr addr, Cycle now)
             return result;
         }
         noteTransferBits(addr, copTransferBits(enc, codec_.config()));
-        setImage(addr, enc.stored);
+        rec = &insertImage(probe, enc.stored);
         if (!faultInjectionEnabled()) {
             // The image was created by the line above, so nothing can
             // have corrupted it before this fill: decoding it is the
@@ -103,7 +105,7 @@ CopErNaiveController::readImpl(Addr addr, Cycle now)
             result.data = data;
             if (enc.status == EncodeStatus::Protected) {
                 result.complete = data_done + decodeLatency_;
-                logVuln(VulnClass::CopProtected4, addr, now);
+                logVuln(VulnClass::CopProtected4, *rec, now);
                 return result;
             }
             result.wasUncompressed = true;
@@ -112,12 +114,12 @@ CopErNaiveController::readImpl(Addr addr, Cycle now)
                 ++result.dramAccesses;
             result.complete =
                 std::max(data_done, meta_done) + decodeLatency_;
-            logVuln(VulnClass::CopErUncompressed, addr, now);
+            logVuln(VulnClass::CopErUncompressed, *rec, now);
             return result;
         }
     }
 
-    const CacheBlock &stored = *imageOf(addr);
+    const CacheBlock &stored = rec->image;
     const Cycle data_done = dramRead(addr, now);
     result.dramAccesses = 1;
 
@@ -132,7 +134,7 @@ CopErNaiveController::readImpl(Addr addr, Cycle now)
         // block whose faults make it look compressed also lands here:
         // the decoder hands over garbage, the SDC oracle counts it.)
         result.complete = data_done + decodeLatency_;
-        logVuln(VulnClass::CopProtected4, addr, now);
+        logVuln(VulnClass::CopProtected4, *rec, now);
         return result;
     }
 
@@ -153,7 +155,7 @@ CopErNaiveController::readImpl(Addr addr, Cycle now)
         result.correctedError = ecc.corrected();
         result.detectedUncorrectable = ecc.uncorrectable();
     }
-    logVuln(VulnClass::CopErUncompressed, addr, now);
+    logVuln(VulnClass::CopErUncompressed, *rec, now);
     return result;
 }
 
@@ -184,8 +186,7 @@ CopErNaiveController::writeback(Addr addr, const CacheBlock &data,
     noteTransferBits(addr, copTransferBits(enc, codec_.config()));
     result.complete = dramWrite(addr, now);
     result.dramAccesses = 1;
-    setImage(addr, enc.stored);
-    noteWrite(addr, now);
+    noteWrite(setImage(addr, enc.stored), now);
     return result;
 }
 

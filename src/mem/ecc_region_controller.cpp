@@ -119,10 +119,15 @@ MemReadResult
 EccRegionController::readImpl(Addr addr, Cycle now)
 {
     MemReadResult result;
+    const BlockProbe probe = blocks_.probe(addr);
+    const StoredBlock &rec =
+        probe.found() ? blocks_.at(probe)
+                      : insertImage(probe, initialContent(addr));
     // Adaptive mode classifies first-touch content before any timing
-    // is charged (storedImage is functional-only, no DRAM traffic).
-    if (adaptiveMode_ && imageOf(addr) == nullptr)
-        noteBlockContent(addr, storedImage(addr), now);
+    // is charged (creating the image is functional-only, no DRAM
+    // traffic).
+    if (adaptiveMode_ && !probe.found())
+        noteBlockContent(addr, rec.image, now);
     // Data and ECC reads are independent and overlap; the fill completes
     // when both are home and the wide code has been checked.
     const Cycle data_done = dramRead(addr, now);
@@ -133,8 +138,7 @@ EccRegionController::readImpl(Addr addr, Cycle now)
                                 : metaAccess(addr, now, false);
     result.complete = std::max(data_done, meta_done);
     result.dramAccesses = 1 + (meta_done > now ? 1 : 0);
-    const CacheBlock &img =
-        storedImage(addr);
+    const CacheBlock &img = rec.image;
     if (isFaulted(addr)) {
         CacheBlock data = img;
         const EccResult ecc = CoperCodec::wideDecode(data, wideCheck(addr));
@@ -144,7 +148,7 @@ EccRegionController::readImpl(Addr addr, Cycle now)
     } else {
         result.data = img;
     }
-    logVuln(VulnClass::WideCode, addr, now);
+    logVuln(VulnClass::WideCode, rec, now);
     return result;
 }
 
@@ -166,8 +170,7 @@ EccRegionController::writeback(Addr addr, const CacheBlock &data,
     if (!(adaptiveMode_ && groupReleased(addr)))
         metaAccess(addr, now, true);
     result.dramAccesses = 1;
-    setImage(addr, data);
-    noteWrite(addr, now);
+    noteWrite(setImage(addr, data), now);
     return result;
 }
 

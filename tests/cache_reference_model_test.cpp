@@ -2,13 +2,16 @@
  * @file
  * Cache model vs. a transparent reference implementation: thousands of
  * random access/insert/invalidate operations against a per-set
- * LRU-list oracle must agree on every hit/miss and every eviction.
+ * LRU-list oracle must agree on every hit/miss and every eviction,
+ * including after a set has spilled and its spill list has emptied.
  */
 
 #include <gtest/gtest.h>
 
 #include <list>
 #include <map>
+#include <optional>
+#include <set>
 
 #include "cache/set_assoc_cache.hpp"
 #include "common/rng.hpp"
@@ -57,6 +60,19 @@ class ReferenceCache
     {
         auto &set = lists_[setOf(addr)];
         set.remove_if([&](const Entry &e) { return e.addr == addr; });
+    }
+
+    std::set<Addr>
+    dirtyBlocks() const
+    {
+        std::set<Addr> dirty;
+        for (const auto &[set, list] : lists_) {
+            for (const Entry &e : list) {
+                if (e.dirty)
+                    dirty.insert(e.addr);
+            }
+        }
+        return dirty;
     }
 
   private:
@@ -116,6 +132,78 @@ TEST(CacheReferenceModel, RandomOperationsAgree)
             reference.invalidate(addr);
         }
     }
+}
+
+TEST(CacheReferenceModel, AgreesAgainAfterTheSpillListEmpties)
+{
+    const CacheConfig cfg{4 * 2 * kBlockBytes, 2, 1}; // 4 sets, 2 ways
+    SetAssocCache cache(cfg);
+    const auto block = [](u64 set, u64 i) {
+        return (i * 4 + set) * kBlockBytes;
+    };
+
+    // Pin both ways of set 1, then overflow it twice.
+    const Addr pinned[] = {block(1, 0), block(1, 1)};
+    for (const Addr a : pinned) {
+        cache.insert(a, true);
+        cache.setAlias(a, true);
+    }
+    const Addr spilled[] = {block(1, 2), block(1, 3)};
+    for (const Addr a : spilled) {
+        const CacheEviction ev = cache.insert(a, false);
+        EXPECT_FALSE(ev.valid);
+    }
+    EXPECT_EQ(cache.stats().setOverflows, 2u);
+
+    // Spill-list hits, one of them a store.
+    EXPECT_TRUE(cache.access(spilled[0], true));
+    EXPECT_TRUE(cache.access(spilled[1], false));
+    EXPECT_EQ(cache.stats().spillHits, 2u);
+
+    // Drop one spilled block: the other must still be found.
+    cache.invalidate(spilled[0]);
+    EXPECT_FALSE(cache.probe(spilled[0]));
+    EXPECT_TRUE(cache.probe(spilled[1]));
+    EXPECT_NE(cache.findState(spilled[1]), nullptr);
+    EXPECT_TRUE(cache.access(spilled[1], true));
+    EXPECT_EQ(cache.stats().spillHits, 3u);
+
+    // Empty the spill list and the pinned ways: the cache is empty
+    // again and must track the plain LRU oracle from here on.
+    cache.invalidate(spilled[1]);
+    for (const Addr a : pinned)
+        cache.invalidate(a);
+    EXPECT_EQ(cache.stats().aliasPinned, 0u);
+    EXPECT_TRUE(cache.drainDirty().empty());
+
+    ReferenceCache reference(cfg.sets(), cfg.ways);
+    Rng rng(99);
+    const u64 misses_before = cache.stats().misses;
+    u64 misses = 0;
+    for (int step = 0; step < 3000; ++step) {
+        const Addr addr = rng.below(20) * kBlockBytes;
+        const bool write = rng.chance(0.3);
+        const bool hit = cache.access(addr, write);
+        ASSERT_EQ(hit, reference.access(addr, write)) << "step " << step;
+        if (hit)
+            continue;
+        ++misses;
+        const CacheEviction ev = cache.insert(addr, write);
+        const auto ref_ev = reference.insert(addr, write);
+        ASSERT_EQ(ev.valid, ref_ev.has_value()) << "step " << step;
+        if (ev.valid) {
+            ASSERT_EQ(ev.addr, ref_ev->first) << "step " << step;
+            ASSERT_EQ(ev.state.dirty, ref_ev->second) << "step " << step;
+        }
+    }
+    EXPECT_EQ(cache.stats().misses - misses_before, misses);
+    EXPECT_EQ(cache.stats().spillHits, 3u);
+
+    std::set<Addr> drained;
+    for (const CacheEviction &ev : cache.drainDirty())
+        drained.insert(ev.addr);
+    EXPECT_EQ(drained, reference.dirtyBlocks());
+    EXPECT_TRUE(cache.drainDirty().empty());
 }
 
 TEST(CacheReferenceModel, DrainMatchesDirtySet)

@@ -77,6 +77,43 @@ TEST(EncodeMemo, CountsHitsAndRoundsCapacityUp)
     EXPECT_GE(memo.schemeTrials(), 1u);
 }
 
+TEST(EncodeMemo, OneSetCountersMatchHandTrace)
+{
+    // One 4-way set, so every block competes for the same ways. Blocks
+    // A..E are distinct; E is incompressible random data, so the trial
+    // counts differ per block.
+    const CopCodec codec(CopConfig::fourByte());
+    EncodeMemo memo(4);
+    ASSERT_EQ(memo.capacity(), 4u);
+    std::vector<CacheBlock> blk(5);
+    for (unsigned i = 0; i < 4; ++i)
+        blk[i].setWord64(0, 0x1000 + i);
+    Rng rng(5);
+    for (unsigned w = 0; w < 8; ++w)
+        blk[4].setWord64(w, rng.next());
+    enum { A, B, C, D, E };
+
+    // Tree-PLRU trace (common/plru.hpp), bits starting at 0:
+    //  A B C D fill ways 0-3; A hits; E evicts C (way 2); A hits;
+    //  C evicts D (way 3); D evicts B (way 1); B evicts E (way 2);
+    //  A hits.
+    const int seq[] = {A, B, C, D, A, E, A, C, D, B, A};
+    for (const int b : seq) {
+        ASSERT_TRUE(sameEncode(memo.encode(codec, blk[b]),
+                               codec.encode(blk[b])));
+    }
+    EXPECT_EQ(memo.lookups(), 11u);
+    EXPECT_EQ(memo.hits(), 3u);
+    EXPECT_EQ(memo.conflictEvictions(), 4u);
+    const auto trials = [&](int b) {
+        return codec.encode(blk[b]).schemeTrials;
+    };
+    EXPECT_EQ(memo.schemeTrials(), trials(A) + 2 * trials(B) +
+                                       2 * trials(C) + 2 * trials(D) +
+                                       trials(E));
+    EXPECT_NE(trials(A), trials(E));
+}
+
 TEST(EncodeMemo, CountingOnlyModeNeverCaches)
 {
     const CopCodec codec(CopConfig::fourByte());

@@ -4,11 +4,14 @@
  * against std::unordered_map/std::unordered_set: same operation
  * sequence, same observable contents. Exercises backward-shift deletion
  * under heavy collision chains, rehash growth, and non-trivial value
- * types (CacheBlock, std::vector).
+ * types (CacheBlock, std::vector). The layout tests pin the slot order
+ * against a plain linear-probing model: the control bytes must not move
+ * any entry.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -184,6 +187,210 @@ TEST(FlatMap, VectorValuesAndEmplaceSkipsConstructionWhenPresent)
     flat[8]; // operator[] default-constructs
     EXPECT_TRUE(flat.find(8)->second.empty());
     EXPECT_EQ(flat.size(), 2u);
+}
+
+/**
+ * Plain linear-probing table with the layout FlatMap promises: home
+ * slot = splitmix64(key) & mask, linear probe, growth to double the
+ * capacity whenever an emplace starts at 7/8 load (present key or not),
+ * rehash in old slot order. Erase re-inserts the rest of the cluster,
+ * which must leave the same layout as FlatMap's backward shift.
+ */
+class ReferenceTable
+{
+  public:
+    void
+    emplace(u64 key)
+    {
+        if (slots_.empty())
+            rehash(16);
+        else if (size_ + 1 > slots_.size() - slots_.size() / 8)
+            rehash(slots_.size() * 2);
+        if (find(key))
+            return;
+        place(key);
+        ++size_;
+    }
+
+    void
+    erase(u64 key)
+    {
+        const std::optional<size_t> pos =
+            slots_.empty() ? std::nullopt : find(key);
+        if (!pos)
+            return;
+        slots_[*pos].reset();
+        --size_;
+        std::vector<u64> rest;
+        for (size_t i = next(*pos); slots_[i]; i = next(i)) {
+            rest.push_back(*slots_[i]);
+            slots_[i].reset();
+        }
+        for (const u64 k : rest)
+            place(k);
+    }
+
+    std::vector<u64>
+    order() const
+    {
+        std::vector<u64> keys;
+        for (const auto &slot : slots_) {
+            if (slot)
+                keys.push_back(*slot);
+        }
+        return keys;
+    }
+
+    size_t capacity() const { return slots_.size(); }
+
+  private:
+    size_t next(size_t i) const { return (i + 1) % slots_.size(); }
+
+    size_t
+    home(u64 key) const
+    {
+        return static_cast<size_t>(detail::flatHash(key) %
+                                   slots_.size());
+    }
+
+    std::optional<size_t>
+    find(u64 key) const
+    {
+        for (size_t i = home(key); slots_[i]; i = next(i)) {
+            if (*slots_[i] == key)
+                return i;
+        }
+        return std::nullopt;
+    }
+
+    void
+    place(u64 key)
+    {
+        size_t i = home(key);
+        while (slots_[i])
+            i = next(i);
+        slots_[i] = key;
+    }
+
+    void
+    rehash(size_t capacity)
+    {
+        const std::vector<std::optional<u64>> old = std::move(slots_);
+        slots_.assign(capacity, std::nullopt);
+        for (const auto &slot : old) {
+            if (slot)
+                place(*slot);
+        }
+    }
+
+    std::vector<std::optional<u64>> slots_;
+    size_t size_ = 0;
+};
+
+std::vector<u64>
+iterationOrder(const FlatMap<u64> &flat)
+{
+    std::vector<u64> keys;
+    for (const auto &[key, val] : flat)
+        keys.push_back(key);
+    return keys;
+}
+
+TEST(FlatMapLayout, IterationOrderMatchesLinearProbingModel)
+{
+    Rng rng(0x1A70);
+    FlatMap<u64> flat;
+    ReferenceTable ref;
+    for (unsigned op = 0; op < 20000; ++op) {
+        const u64 key = drawKey(rng);
+        if (rng.chance(0.35)) {
+            flat.erase(key);
+            ref.erase(key);
+        } else {
+            flat.emplace(key, key ^ 1);
+            ref.emplace(key);
+        }
+        if (op % 64 == 0 || op + 1 == 20000) {
+            ASSERT_EQ(flat.capacity(), ref.capacity()) << "op " << op;
+            ASSERT_EQ(iterationOrder(flat), ref.order()) << "op " << op;
+        }
+    }
+    EXPECT_GT(flat.size(), 100u);
+}
+
+/** Keys whose splitmix64 hash has top 7 bits @p frag and, in a
+ *  16-slot table, home slot @p home. */
+std::vector<u64>
+keysWith(u64 frag, size_t home, unsigned n, u64 start = 0)
+{
+    std::vector<u64> keys;
+    for (u64 k = start; keys.size() < n; ++k) {
+        const u64 h = detail::flatHash(k);
+        if ((h >> 57) == frag && (h & 15) == home)
+            keys.push_back(k);
+    }
+    return keys;
+}
+
+TEST(FlatMapLayout, CollidingHashFragmentsStillCompareKeys)
+{
+    // Eight keys sharing both the 7-bit control fragment and the home
+    // slot: every probe step matches the fragment, so only the key
+    // compare can tell them apart.
+    const std::vector<u64> keys = keysWith(0x2A, 3, 9);
+    const u64 absent = keys.back();
+    FlatMap<u64> flat;
+    ReferenceTable ref;
+    for (unsigned i = 0; i + 1 < keys.size(); ++i) {
+        flat.emplace(keys[i], i);
+        ref.emplace(keys[i]);
+    }
+    ASSERT_EQ(flat.capacity(), 16u);
+    for (unsigned i = 0; i + 1 < keys.size(); ++i)
+        EXPECT_EQ(flat.find(keys[i])->second, i);
+    EXPECT_EQ(flat.count(absent), 0u);
+    EXPECT_FALSE(flat.probe(absent).found());
+
+    // Erase from the middle of the chain; the survivors stay reachable
+    // and in the model's slot order.
+    for (const unsigned i : {2u, 5u, 0u}) {
+        EXPECT_EQ(flat.erase(keys[i]), 1u);
+        ref.erase(keys[i]);
+        EXPECT_EQ(flat.count(keys[i]), 0u);
+    }
+    EXPECT_EQ(iterationOrder(flat), ref.order());
+    for (const unsigned i : {1u, 3u, 4u, 6u, 7u})
+        EXPECT_EQ(flat.find(keys[i])->second, i);
+
+    // probe() + insert() lands where emplace would have.
+    const auto p = flat.probe(absent);
+    ASSERT_FALSE(p.found());
+    flat.insert(p, 99u);
+    ref.emplace(absent);
+    EXPECT_EQ(flat.find(absent)->second, 99u);
+    EXPECT_EQ(iterationOrder(flat), ref.order());
+}
+
+TEST(FlatMapLayout, BackwardShiftEraseWrapsAroundTheSlotArray)
+{
+    // In a 16-slot table: k15a -> slot 15, k15b wraps to slot 0, k0 is
+    // displaced to slot 1, k15c to slot 2. Erasing k15a must pull each
+    // of them one slot back across the wrap.
+    const u64 k15a = keysWith(0x11, 15, 1)[0];
+    const u64 k15b = keysWith(0x22, 15, 1)[0];
+    const u64 k0 = keysWith(0x33, 0, 1)[0];
+    const u64 k15c = keysWith(0x44, 15, 1)[0];
+    FlatMap<u64> flat;
+    for (const u64 k : {k15a, k15b, k0, k15c})
+        flat.emplace(k, k);
+    ASSERT_EQ(flat.capacity(), 16u);
+    EXPECT_EQ(iterationOrder(flat), (std::vector<u64>{k15b, k0, k15c, k15a}));
+
+    EXPECT_EQ(flat.erase(k15a), 1u);
+    EXPECT_EQ(iterationOrder(flat), (std::vector<u64>{k0, k15c, k15b}));
+    for (const u64 k : {k15b, k0, k15c})
+        EXPECT_EQ(flat.find(k)->second, k);
+    EXPECT_EQ(flat.count(k15a), 0u);
 }
 
 TEST(FlatMap, ClearResetsToEmpty)

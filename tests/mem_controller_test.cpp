@@ -277,5 +277,49 @@ TEST_F(ControllerTest, VulnResidencyGrowsWithTime)
     EXPECT_DOUBLE_EQ(entry.totalCycles, 500000.0);
 }
 
+/** ECC DIMM whose writebacks can be made to report an alias rejection,
+ *  reaching the recovery pipeline's drop-the-image edge. */
+class RejectingEccDimm : public EccDimmController
+{
+  public:
+    using EccDimmController::EccDimmController;
+
+    MemWriteResult
+    writeback(Addr addr, const CacheBlock &data, Cycle now,
+              bool was_uncompressed) override
+    {
+        if (rejectWrites) {
+            MemWriteResult r;
+            r.aliasRejected = true;
+            return r;
+        }
+        return EccDimmController::writeback(addr, data, now,
+                                            was_uncompressed);
+    }
+
+    bool rejectWrites = false;
+};
+
+TEST_F(ControllerTest, VulnClockOutlivesAnImageDroppedByRecovery)
+{
+    RejectingEccDimm ctrl(*dram, source());
+    ctrl.enableFaultInjection(RecoveryConfig{});
+    const Addr addr = 3 * kBlockBytes;
+    ctrl.writeback(addr, pool.blockFor(addr), 1000, false);
+    // Two flips in one 64-bit word: SECDED detects but cannot correct.
+    ASSERT_TRUE(ctrl.injectFault(addr, {0, 1}, 1500, false));
+    ctrl.rejectWrites = true;
+    EXPECT_TRUE(ctrl.read(addr, 2000).detectedUncorrectable);
+    EXPECT_EQ(ctrl.imageOf(addr), nullptr) << "recovery keeps the image";
+
+    // The refill re-creates the image; its exposure still counts from
+    // the write at cycle 1000, not from the start of the run.
+    ctrl.rejectWrites = false;
+    ctrl.read(addr, 5000);
+    const auto &entry = ctrl.vulnLog().of(VulnClass::EccDimm);
+    EXPECT_EQ(entry.reads, 2u);
+    EXPECT_DOUBLE_EQ(entry.totalCycles, (2000 - 1000) + (5000 - 1000));
+}
+
 } // namespace
 } // namespace cop
