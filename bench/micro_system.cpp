@@ -10,27 +10,21 @@
  *
  * Construction is excluded from the timed region: each pass builds its
  * System untimed and times run() alone, so the numbers isolate the
- * steady-state simulation loop from allocator noise (the loop is what
- * the sharded core accelerates; a grid cell pays construction once but
- * runs tens of thousands of epochs).
+ * steady-state simulation loop from allocator noise (a grid cell pays
+ * construction once but runs tens of thousands of epochs).
  *
  * Results print to stdout and land in bench/results/micro_system.json
  * (directory overridable via COP_BENCH_RESULTS). BENCH_system.json at
  * the repo root records the before/after numbers of the end-to-end
  * throughput work measured with this exact methodology.
  *
- * `--threads N` (N > 1) switches to the thread-sweep mode for the
- * sharded simulation core (SystemConfig::simThreads): serial and
- * N-thread passes alternate per scheme, and the results — wall
- * speedup, plus the deterministic offload telemetry the modeled
- * speedup derives from — land in bench/results/
- * micro_system_threads.json. The modeled speedup is Amdahl over the
- * gprof-measured offloadable share of a COP cell (~53% of run() is
- * content generation + codec encode/decode, see BENCH_system.json)
- * scaled by the warm-store hit rate; unlike the wall ratio it is a
- * pure function of the simulation and thus gateable on any host,
- * including single-CPU CI containers where a wall-clock speedup is
- * physically impossible.
+ * `--threads N` (N > 1) switches to the serial-vs-fast sweep:
+ * serial-oracle passes alternate per scheme with fast-timing passes
+ * on N shards (SystemConfig::fastTiming, simThreads = N), and the
+ * results — the fast-timing wall speedup and its IPC divergence from
+ * the oracle — land in bench/results/micro_system_threads.json. The
+ * divergence is a ratio of two deterministic simulated IPCs, so it is
+ * gateable on any host; the wall speedup needs real cores under it.
  *
  * `--quick` shortens the run for the CI perf-smoke job; the numbers
  * are noisier but the regression gate in scripts/check_perf.py leaves
@@ -75,24 +69,7 @@ constexpr KindRow kKinds[] = {
     {ControllerKind::CopErNaive, "coper_naive"},
 };
 
-/**
- * Offload-model weights: relative cost of one warm-store-covered unit
- * of work, from BENCH_codec.json kernel timings (encode = 1, decode =
- * 0.54, content generation = 0.35).
- */
-constexpr double kWeightEncode = 1.0;
-constexpr double kWeightDecode = 0.54;
-constexpr double kWeightContent = 0.35;
-
-/**
- * gprof-measured share of a COP-scheme run() spent in offloadable work
- * (epoch generation + content generation + encode + decode; the rest —
- * LLC, DRAM timing, controller bookkeeping — is serial by the
- * byte-identity design). See BENCH_system.json.
- */
-constexpr double kOffloadableShare = 0.53;
-
-/** Accumulated measurements of one (scheme, simThreads) series. */
+/** Accumulated measurements of one (scheme, mode) series. */
 struct Series
 {
     double timedMs = 0;
@@ -100,8 +77,7 @@ struct Series
     u64 misses = 0;
     u64 poolCalls = 0;
     u64 poolHits = 0;
-    double ipc = 0;       ///< Last pass (deterministic, so any pass).
-    ShardTelemetry telem; ///< Last pass (deterministic, so any pass).
+    double ipc = 0; ///< Last pass (deterministic, so any pass).
 };
 
 /** One untimed-construction / timed-run pass. */
@@ -118,7 +94,6 @@ onePass(const WorkloadProfile &profile, const SystemConfig &cfg,
     series.poolCalls += r.poolBlockForCalls;
     series.poolHits += r.poolContentCacheHits;
     series.ipc = r.ipc;
-    series.telem = sys.shardTelemetry();
 }
 
 double
@@ -129,48 +104,6 @@ epochsPerSec(const Series &series, const SystemConfig &cfg)
     const double epochs = static_cast<double>(
         series.passes * cfg.epochsPerCore * cfg.cores);
     return epochs / (series.timedMs / 1000.0);
-}
-
-/**
- * Weighted warm-store hit rate of a sharded series: how much of the
- * offloadable work the workers actually delivered ahead of time.
- */
-double
-offloadHitRate(const ShardTelemetry &t)
-{
-    const double lookups = kWeightEncode *
-                               static_cast<double>(t.warmEncodeLookups) +
-                           kWeightDecode *
-                               static_cast<double>(t.warmDecodeLookups) +
-                           kWeightContent *
-                               static_cast<double>(t.warmContentLookups);
-    if (lookups <= 0)
-        return 0.0;
-    const double hits =
-        kWeightEncode * static_cast<double>(t.warmEncodeHits) +
-        kWeightDecode * static_cast<double>(t.warmDecodeHits) +
-        kWeightContent * static_cast<double>(t.warmContentHits);
-    return hits / lookups;
-}
-
-/**
- * Amdahl ceiling: serial time 1 shrinks to 1 - share*hit_rate when
- * every warm-hit unit of work is fully hidden behind the merge loop.
- * Deterministic — a regression gate that works on a 1-CPU host.
- */
-double
-modeledSpeedup(const ShardTelemetry &t)
-{
-    const double hidden = kOffloadableShare * offloadHitRate(t);
-    return 1.0 / (1.0 - hidden);
-}
-
-double
-rate(u64 hits, u64 lookups)
-{
-    return lookups ? static_cast<double>(hits) /
-                         static_cast<double>(lookups)
-                   : 0.0;
 }
 
 int
@@ -187,29 +120,18 @@ run(bool quick, const std::string &profile_name, unsigned threads)
     const bool sweep = threads > 1;
 
     bench::JsonObjectBuilder eps_serial;
-    bench::JsonObjectBuilder eps_threaded;
     bench::JsonObjectBuilder eps_fast;
-    bench::JsonObjectBuilder wall_speedup;
     bench::JsonObjectBuilder fast_wall_speedup;
     bench::JsonObjectBuilder ft_divergence;
-    bench::JsonObjectBuilder hit_rate_json;
-    bench::JsonObjectBuilder hit_rate_encode;
-    bench::JsonObjectBuilder hit_rate_decode;
-    bench::JsonObjectBuilder hit_rate_content;
-    bench::JsonObjectBuilder conflicts_json;
-    bench::JsonObjectBuilder modeled_json;
     bench::JsonObjectBuilder misses_per_sec;
     bench::JsonObjectBuilder blockfor_hit_rate;
-    double modeled_cop4 = 0;
-    double modeled_coper = 0;
     double fast_cop4 = 0;
     double fast_coper = 0;
     double ft_div_max = 0;
 
     if (sweep)
-        std::printf("%-12s %12s %12s %7s %7s %7s %7s %8s\n", "scheme",
-                    "epochs/s(1)", "epochs/s(N)", "wall x", "model x",
-                    "fast x", "offl%", "ft div%");
+        std::printf("%-12s %12s %12s %7s %8s\n", "scheme", "epochs/s(1)",
+                    "epochs/s(N)", "fast x", "ft div%");
     else
         std::printf("%-12s %14s %14s %12s\n", "scheme", "epochs/s",
                     "misses/s", "pool hit%");
@@ -217,35 +139,29 @@ run(bool quick, const std::string &profile_name, unsigned threads)
     for (const KindRow &row : kKinds) {
         SystemConfig cfg = bench::paperConfig(row.kind);
         cfg.epochsPerCore = epochs_per_core;
-        SystemConfig threaded_cfg = cfg;
-        threaded_cfg.simThreads = threads;
-        SystemConfig fast_cfg = threaded_cfg;
+        SystemConfig fast_cfg = cfg;
+        fast_cfg.simThreads = threads;
         fast_cfg.fastTiming = true;
 
         Series serial;
-        Series threaded;
         Series fast;
         {
             // Untimed warm-up pass (allocator, page cache).
             System sys(profile, cfg);
             (void)sys.run();
         }
-        // Alternate serial and threaded passes so OS noise drifts into
-        // both series equally (the threaded series is skipped entirely
-        // in plain mode).
+        // Alternate serial and fast passes so OS noise drifts into
+        // both series equally (the fast series is skipped entirely in
+        // plain mode).
         do {
             onePass(profile, cfg, serial);
-            if (sweep) {
-                onePass(profile, threaded_cfg, threaded);
+            if (sweep)
                 onePass(profile, fast_cfg, fast);
-            }
         } while (serial.timedMs < target_ms);
 
         const double eps = epochsPerSec(serial, cfg);
         if (sweep) {
-            const double eps_n = epochsPerSec(threaded, threaded_cfg);
             const double eps_f = epochsPerSec(fast, fast_cfg);
-            const double ratio = eps > 0 ? eps_n / eps : 0.0;
             const double fast_ratio = eps > 0 ? eps_f / eps : 0.0;
             // The divergence the relaxed mode trades for throughput:
             // fast-timing IPC vs. the simThreads=1 oracle's, relative.
@@ -254,39 +170,17 @@ run(bool quick, const std::string &profile_name, unsigned threads)
                 serial.ipc > 0
                     ? std::abs(fast.ipc - serial.ipc) / serial.ipc
                     : 0.0;
-            const double hit_rate = offloadHitRate(threaded.telem);
-            const double modeled = modeledSpeedup(threaded.telem);
-            const ShardTelemetry &t = threaded.telem;
-            std::printf("%-12s %12.0f %12.0f %6.2fx %6.2fx %6.2fx "
-                        "%6.1f%% %7.2f%%\n",
-                        row.key, eps, eps_n, ratio, modeled, fast_ratio,
-                        hit_rate * 100.0, ft_div * 100.0);
+            std::printf("%-12s %12.0f %12.0f %6.2fx %7.2f%%\n", row.key,
+                        eps, eps_f, fast_ratio, ft_div * 100.0);
             eps_serial.add(row.key, eps);
-            eps_threaded.add(row.key, eps_n);
             eps_fast.add(row.key, eps_f);
-            wall_speedup.add(row.key, ratio);
             fast_wall_speedup.add(row.key, fast_ratio);
             ft_divergence.add(row.key, ft_div);
-            hit_rate_json.add(row.key, hit_rate);
-            hit_rate_encode.add(
-                row.key, rate(t.warmEncodeHits, t.warmEncodeLookups));
-            hit_rate_decode.add(
-                row.key, rate(t.warmDecodeHits, t.warmDecodeLookups));
-            hit_rate_content.add(
-                row.key, rate(t.warmContentHits, t.warmContentLookups));
-            conflicts_json.add(row.key,
-                               t.warmEncodeConflicts +
-                                   t.warmDecodeConflicts +
-                                   t.warmContentConflicts);
-            modeled_json.add(row.key, modeled);
             ft_div_max = std::max(ft_div_max, ft_div);
-            if (std::strcmp(row.key, "cop4") == 0) {
-                modeled_cop4 = modeled;
+            if (std::strcmp(row.key, "cop4") == 0)
                 fast_cop4 = fast_ratio;
-            } else if (std::strcmp(row.key, "coper") == 0) {
-                modeled_coper = modeled;
+            else if (std::strcmp(row.key, "coper") == 0)
                 fast_coper = fast_ratio;
-            }
         } else {
             const double mps = static_cast<double>(serial.misses) /
                                (serial.timedMs / 1000.0);
@@ -307,7 +201,7 @@ run(bool quick, const std::string &profile_name, unsigned threads)
     if (sweep) {
         if (host_cpus < threads) {
             std::printf("note: host has %u CPU(s) < %u threads — wall "
-                        "speedup is not expected here; the modeled "
+                        "speedup is not expected here; the divergence "
                         "column is the gateable metric\n",
                         host_cpus, threads);
         }
@@ -319,19 +213,9 @@ run(bool quick, const std::string &profile_name, unsigned threads)
         top.add("threads", static_cast<u64>(threads));
         top.add("host_cpus", static_cast<u64>(host_cpus));
         top.addRaw("epochs_per_sec", eps_serial.str());
-        top.addRaw("epochs_per_sec_threaded", eps_threaded.str());
         top.addRaw("epochs_per_sec_fast", eps_fast.str());
-        top.addRaw("wall_speedup", wall_speedup.str());
         top.addRaw("fast_wall_speedup", fast_wall_speedup.str());
         top.addRaw("ft_ipc_divergence", ft_divergence.str());
-        top.addRaw("offload_hit_rate", hit_rate_json.str());
-        top.addRaw("offload_hit_rate_encode", hit_rate_encode.str());
-        top.addRaw("offload_hit_rate_decode", hit_rate_decode.str());
-        top.addRaw("offload_hit_rate_content", hit_rate_content.str());
-        top.addRaw("offload_conflicts", conflicts_json.str());
-        top.addRaw("modeled_speedup", modeled_json.str());
-        top.add("sharded_speedup_min",
-                std::min(modeled_cop4, modeled_coper));
         // Wall gate (host_cpus >= threads only) and divergence gate
         // (any host — deterministic) for scripts/check_perf.py.
         top.add("fast_timing_speedup_min",

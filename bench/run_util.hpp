@@ -297,23 +297,32 @@ class GridRunner
     }
 
     /**
-     * Propagate the requested per-cell simThreads into every cell's
-     * config. Grid workers and shard workers multiply, so when the
-     * grid itself is parallel (effectiveJobs > 1) a request for
-     * intra-cell threading is clamped to 1 — loudly, because the user
-     * asked for something the run is not doing.
+     * Propagate the requested per-cell simThreads (the fast-timing
+     * shard count) into every cell's config. It only matters with
+     * --fast-timing, and grid workers and shard threads multiply, so
+     * the request is clamped to 1 without --fast-timing or when the
+     * grid itself is parallel (effectiveJobs > 1) — loudly, because
+     * the user asked for something the run is not doing.
      */
     void
     applySimThreads()
     {
         simThreads_ = opts_.simThreads;
-        if (simThreads_ != 1 && opts_.effectiveJobs() > 1 &&
-            cells_.size() > 1) {
+        if (simThreads_ != 1 && !opts_.fastTiming) {
+            std::fprintf(
+                stderr,
+                "[runner] %s: --sim-threads %u ignored (clamped to 1): "
+                "it only matters with --fast-timing\n",
+                name_.c_str(), opts_.simThreads);
+            simThreads_ = 1;
+            simThreadsClamped_ = true;
+        } else if (simThreads_ != 1 && opts_.effectiveJobs() > 1 &&
+                   cells_.size() > 1) {
             std::fprintf(
                 stderr,
                 "[runner] %s: --sim-threads %u ignored (clamped to 1): "
                 "%u grid jobs already oversubscribe the host; use "
-                "--serial or --jobs 1 for intra-cell threading\n",
+                "--serial or --jobs 1 for fast-timing shards\n",
                 name_.c_str(), opts_.simThreads, opts_.effectiveJobs());
             simThreads_ = 1;
             simThreadsClamped_ = true;

@@ -18,10 +18,10 @@
 #include <fstream>
 
 #include "run_util.hpp"
-#include "sim/trace_io.hpp"
 #include "trace/gzip_source.hpp"
 #include "trace/replay.hpp"
 #include "trace/text_source.hpp"
+#include "trace/trace_io.hpp"
 
 namespace cop {
 namespace {

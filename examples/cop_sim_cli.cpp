@@ -20,8 +20,9 @@
  *     --trace-stats <file>   write a JSONL stats trace (see
  *                            scripts/agg_stats.py)
  *     --trace-interval <n>   epochs between trace snapshots
- *     --sim-threads <n>      sharded-simulation thread budget; results
- *                            are byte-identical to 1 (0 = all cores)
+ *     --sim-threads <n>      fast-timing shard count (0 = all cores);
+ *                            only matters with --fast-timing, and any
+ *                            value but 1 without it is an error
  *     --fast-timing          relaxed-consistency fast mode: true
  *                            shard parallelism under --sim-threads,
  *                            deterministic but NOT byte-identical to
@@ -151,7 +152,9 @@ main(int argc, char **argv)
             cfg.traceStatsEpochInterval =
                 parsePositiveU64(next(), "--trace-interval");
         } else if (arg == "--sim-threads") {
-            // 0 is the resolve-to-hardware-concurrency request.
+            // Fast-timing shards; 0 is the resolve-to-hardware-
+            // concurrency request. Without --fast-timing the System
+            // rejects any value but 1.
             cfg.simThreads = static_cast<unsigned>(
                 parseU64(next(), "--sim-threads"));
         } else if (arg == "--fast-timing") {

@@ -21,10 +21,10 @@
 #include <fstream>
 
 #include "common/parse.hpp"
-#include "sim/trace_io.hpp"
 #include "trace/fit.hpp"
 #include "trace/gzip_source.hpp"
 #include "trace/text_source.hpp"
+#include "trace/trace_io.hpp"
 #include "trace/trace_source.hpp"
 
 using namespace cop;

@@ -29,25 +29,16 @@ away, apply the `perf-override` label to the PR — the CI job skips
 itself when the label is present — and refresh the baseline file per
 EXPERIMENTS.md.
 
-A sharded-core gate covers the thread-parallel simulation path:
-`micro_system --quick --threads 4` records, per scheme, the wall
-speedup of simThreads=4 over simThreads=1 plus the deterministic
-offload telemetry (warm-store hit rates, and the Amdahl speedup
-modeled from them). The modeled `sharded_speedup_min` scalar and the
-COP-scheme offload hit rates are pure functions of the seeded
-simulation, so they gate on any host; the wall-clock ratio is gated
-only when the recording host had >= 4 CPUs (on smaller hosts — like
-single-CPU CI containers — a wall speedup is physically impossible and
-the check is skipped loudly).
-
-The same thread-sweep results carry the fast-timing gates
-(SystemConfig::fastTiming, DESIGN.md §8.2): the IPC divergence of the
-relaxed mode vs. the simThreads=1 oracle on the default profile is a
-ratio of two deterministic simulated IPCs and must stay under its
-contract ceiling (2% for cop4) on any host, while the fast-timing wall
-speedup — the whole point of trading byte-identity away — is gated
-only when the recording host had >= 4 CPUs, like the sharded wall
-gate.
+A fast-timing gate covers the thread-parallel simulation path
+(SystemConfig::fastTiming, DESIGN.md §8): `micro_system --quick
+--threads 4` records, per scheme, the serial oracle's and the
+fast-timing mode's epochs/s. The IPC divergence of the relaxed mode
+vs. the simThreads=1 oracle on the default profile is a ratio of two
+deterministic simulated IPCs and must stay under its contract ceiling
+(2% for cop4) on any host, while the fast-timing wall speedup — the
+whole point of trading byte-identity away — is gated only when the
+recording host had >= 4 CPUs (on smaller hosts a wall speedup is
+physically impossible and the check is skipped loudly).
 
 A fourth gate is fully deterministic: `fault_campaign --quick` records
 the fraction of injected 2-flip raw events the on-die SEC filter
@@ -69,7 +60,6 @@ Usage: scripts/check_perf.py
          [--bandwidth-results bench/results/fig13_bandwidth.json]
          [--fault-results bench/results/fault_campaign.json]
          [--max-regression 0.30]
-         [--sharded-speedup-min 1.8]
 """
 
 import argparse
@@ -120,9 +110,6 @@ def main() -> int:
     parser.add_argument("--max-regression", type=float, default=0.30,
                         help="maximum allowed fractional drop (0.30 = "
                              "fail below 70%% of baseline)")
-    parser.add_argument("--sharded-speedup-min", type=float, default=1.8,
-                        help="floor for the deterministic modeled "
-                             "sharded speedup (min over cop4/coper)")
     parser.add_argument("--fast-timing-speedup-min", type=float,
                         default=2.5,
                         help="floor for the fast-timing wall speedup "
@@ -170,47 +157,7 @@ def main() -> int:
         ran_any = True
         with open(args.system_threads_results) as f:
             sweep = json.load(f)
-        # Deterministic gates first: the modeled speedup and the warm-
-        # store hit rates are pure functions of the seeded simulation.
-        smin = float(sweep["sharded_speedup_min"])
-        smin_ok = smin >= args.sharded_speedup_min
-        print(f"sharded/sharded_speedup_min: {smin:.2f}x "
-              f"(floor {args.sharded_speedup_min:.2f}x) "
-              f"... {'ok' if smin_ok else 'FAIL'}")
-        if not smin_ok:
-            failed = True
-            print("sharded: the modeled sharded speedup fell below its "
-                  "floor — the workers are no longer delivering the "
-                  "offloadable work ahead of the merge loop.",
-                  file=sys.stderr)
-        for key in ("cop4", "coper"):
-            hr = float(sweep["offload_hit_rate"][key])
-            hr_ok = hr >= 0.75
-            print(f"sharded/offload_hit_rate/{key}: {hr:.3f} "
-                  f"(floor 0.75) ... {'ok' if hr_ok else 'FAIL'}")
-            if not hr_ok:
-                failed = True
-                print(f"sharded: warm-store hit rate for {key} "
-                      "collapsed — staged results no longer cover the "
-                      "inline hot paths.", file=sys.stderr)
-        # Wall-clock ratio only means something with real parallelism
-        # under it: skip (loudly) when the recording host was too small.
         host_cpus = int(sweep["host_cpus"])
-        if host_cpus >= 4:
-            wall = float(sweep["wall_speedup"]["cop4"])
-            wall_ok = wall >= 1.1
-            print(f"sharded/wall_speedup/cop4: {wall:.2f}x "
-                  f"(floor 1.10x, host_cpus={host_cpus}) "
-                  f"... {'ok' if wall_ok else 'FAIL'}")
-            if not wall_ok:
-                failed = True
-                print("sharded: simThreads=4 is not beating serial on "
-                      "a multi-core host — the sharded path costs more "
-                      "than it hides.", file=sys.stderr)
-        else:
-            print(f"sharded/wall_speedup: skipped (host_cpus="
-                  f"{host_cpus} < 4 — no parallelism to measure; the "
-                  "modeled gate above still applies)")
         # Fast-timing gates. The IPC divergence vs. the simThreads=1
         # oracle is a ratio of two deterministic simulated IPCs, so it
         # gates on any host; the wall speedup again needs real cores
@@ -240,7 +187,7 @@ def main() -> int:
                 if not ftw_ok:
                     failed = True
                     print("fast-timing: the relaxed mode no longer "
-                          "beats the byte-identical ceiling on a "
+                          "beats the serial oracle on a "
                           "multi-core host — the shard barriers or "
                           "the partitioned LLC are costing more than "
                           "the parallelism pays.", file=sys.stderr)
@@ -250,7 +197,7 @@ def main() -> int:
                       "to measure; the divergence gate above still "
                       "applies)")
     else:
-        print(f"sharded: {args.system_threads_results} not found, "
+        print(f"fast-timing: {args.system_threads_results} not found, "
               "skipping gate")
 
     if os.path.exists(args.bandwidth_results):

@@ -104,7 +104,7 @@ BdiCompressor::fitsBaseDelta(const CacheBlock &block, const Geometry &g,
         if (!have_base) {
             base = static_cast<u64>(v);
             have_base = true;
-        } else if (!deltaFits(v - static_cast<i64>(base),
+        } else if (!deltaFits(static_cast<i64>(static_cast<u64>(v) - base),
                               g.delta_bytes)) {
             return false;
         }
@@ -223,7 +223,8 @@ BdiCompressor::compress(const CacheBlock &block, unsigned budget_bits,
         const i64 v = signExtend(element(block, g.base_bytes, i),
                                  g.base_bytes);
         const bool zero_base = deltaFits(v, g.delta_bytes);
-        const i64 delta = zero_base ? v : v - static_cast<i64>(base);
+        const i64 delta =
+            zero_base ? v : static_cast<i64>(static_cast<u64>(v) - base);
         out.write(zero_base ? 0 : 1, 1);
         out.write(static_cast<u64>(delta) &
                       ((g.delta_bytes == 8) ? ~0ULL
@@ -261,8 +262,10 @@ BdiCompressor::decompress(BitReader &in, unsigned budget_bits,
         const bool use_base = in.read(1) != 0;
         const i64 delta = signExtend(in.read(8 * g.delta_bytes),
                                      g.delta_bytes);
-        const i64 v = use_base ? base + delta : delta;
-        setElement(out, g.base_bytes, i, static_cast<u64>(v));
+        const u64 v = use_base ? static_cast<u64>(base) +
+                                     static_cast<u64>(delta)
+                               : static_cast<u64>(delta);
+        setElement(out, g.base_bytes, i, v);
     }
 }
 

@@ -17,8 +17,8 @@
  * keys always have equal hashes, so the filter never changes an
  * answer).
  *
- * One memo per System (never shared across parallel workers), so grid
- * runs stay deterministic at every worker count.
+ * One memo per System (never shared across threads), so grid runs
+ * stay deterministic at every worker count.
  */
 
 #ifndef COP_CORE_ENCODE_MEMO_HPP
@@ -26,8 +26,8 @@
 
 #include <vector>
 
+#include "common/plru.hpp"
 #include "core/codec.hpp"
-#include "core/warm_codec.hpp"
 
 namespace cop {
 
@@ -64,7 +64,7 @@ class EncodeMemo
     {
         ++lookups_;
         if (sets_.empty()) {
-            scratch_ = missEncode(codec, data);
+            scratch_ = codec.encode(data);
             schemeTrials_ += scratch_.schemeTrials;
             return scratch_;
         }
@@ -89,20 +89,11 @@ class EncodeMemo
         set.hashes[way] = hash;
         set.valid |= static_cast<u8>(1u << way);
         e.key = data;
-        e.result = missEncode(codec, data);
+        e.result = codec.encode(data);
         schemeTrials_ += e.result.schemeTrials;
         set.plru.touch(way);
         return e.result;
     }
-
-    /**
-     * Attach a shard-worker warm store (sharded mode only; see
-     * core/warm_codec.hpp). On a memo miss the warm store substitutes
-     * the precomputed encode for the inline one — the lookup/hit/
-     * scheme-trial counters above are untouched, so every counter the
-     * results JSON and stats trace see stays byte-identical.
-     */
-    void attachWarmStore(const WarmEncodeStore *warm) { warm_ = warm; }
 
     /** Total entry capacity (0 = counting-only). */
     unsigned capacity() const
@@ -137,22 +128,16 @@ class EncodeMemo
     static u64
     contentHash(const CacheBlock &data)
     {
-        return blockContentHash(data);
-    }
-
-    /** The encode behind a memo miss: warm store first, then codec. */
-    CopEncodeResult
-    missEncode(const CopCodec &codec, const CacheBlock &data) const
-    {
-        if (warm_ != nullptr) {
-            if (const CopEncodeResult *enc = warm_->lookup(data))
-                return *enc;
+        u64 h = 0x9e3779b97f4a7c15ULL;
+        for (unsigned w = 0; w < 8; ++w) {
+            h ^= data.word64(w);
+            h *= 0xff51afd7ed558ccdULL;
+            h ^= h >> 33;
         }
-        return codec.encode(data);
+        return h;
     }
 
     std::vector<Set> sets_;
-    const WarmEncodeStore *warm_ = nullptr;
     u64 mask_ = 0;
     u64 lookups_ = 0;
     u64 hits_ = 0;

@@ -40,7 +40,6 @@
 
 #include "common/cache_block.hpp"
 #include "common/flat_map.hpp"
-#include "core/warm_codec.hpp"
 #include "dram/dram_system.hpp"
 #include "mem/error_log.hpp"
 #include "mem/vuln_log.hpp"
@@ -226,18 +225,6 @@ class MemoryController
     virtual void enableAdaptiveCapacity() { adaptiveMode_ = true; }
     bool adaptiveCapacityEnabled() const { return adaptiveMode_; }
     const AdaptiveStats &adaptiveStats() const { return adaptive_; }
-
-    /**
-     * Attach a shard-worker warm decode store (sharded mode; see
-     * core/warm_codec.hpp). COP-family variants route their stored-
-     * image decodes through it; decode is pure, so results — and every
-     * counter — are byte-identical either way. No-op for variants
-     * without a codec.
-     */
-    virtual void attachWarmDecode(const WarmDecodeStore *warm)
-    {
-        (void)warm;
-    }
 
     DramSystem &dram() { return dram_; }
     const MemStats &stats() const { return stats_; }

@@ -53,8 +53,7 @@ CopController::readImpl(Addr addr, Cycle now)
     }
 
     const Cycle data_done = dramRead(addr, now);
-    const CopDecodeResult &dec =
-        warmOrDecode(warmDecode_, codec_, rec->image, decodeScratch_);
+    const CopDecodeResult dec = codec_.decode(rec->image);
     result.complete = data_done + decodeLatency_;
     result.dramAccesses = 1;
     result.data = dec.data;

@@ -123,8 +123,7 @@ CopErNaiveController::readImpl(Addr addr, Cycle now)
     const Cycle data_done = dramRead(addr, now);
     result.dramAccesses = 1;
 
-    const CopDecodeResult &dec =
-        warmOrDecode(warmDecode_, codec_, stored, decodeScratch_);
+    const CopDecodeResult dec = codec_.decode(stored);
     result.data = dec.data;
     result.detectedUncorrectable = dec.detectedUncorrectable;
     result.correctedError = dec.correctedWords > 0;

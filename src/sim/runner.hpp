@@ -32,10 +32,11 @@ struct RunnerOptions
     bool serial = false;
     /**
      * Per-cell SystemConfig::simThreads request (COP_SIM_THREADS /
-     * --sim-threads; 0 means hardware concurrency). Grid- and
-     * cell-level parallelism multiply, so consumers running cells
+     * --sim-threads; 0 means hardware concurrency): the fast-timing
+     * shard count, so it only matters together with fastTiming. Grid-
+     * and cell-level parallelism multiply, so consumers running cells
      * under more than one grid worker must clamp this to 1 — the
-     * GridRunner does, loudly.
+     * GridRunner does, loudly, and also without fastTiming.
      */
     unsigned simThreads = 1;
     /**
@@ -55,7 +56,7 @@ struct RunnerOptions
  * (positive integer) sets the worker count; `--serial` forces
  * single-threaded in-order execution; `--jobs N` overrides the
  * environment; COP_SIM_THREADS / `--sim-threads N` set the per-cell
- * sharded-simulation thread budget (0 = hardware concurrency);
+ * fast-timing shard count (0 = hardware concurrency);
  * COP_FAST_TIMING / `--fast-timing` request the relaxed-consistency
  * fast-timing mode (SystemConfig::fastTiming) for every cell.
  * Unrecognised arguments are ignored (benches keep their own flags,

@@ -1,6 +1,6 @@
 /**
  * @file
- * The on-disk COP trace format, shared by the writer (sim/trace_io)
+ * The on-disk COP trace format, shared by the writer (trace/trace_io)
  * and every streaming reader (trace/binary_source, trace/mmap path).
  *
  * v2 (current, magic "COPTRC2\0"):

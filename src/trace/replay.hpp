@@ -6,8 +6,7 @@
  * the pool byte-identical to the capture run's pool for the same core
  * and profile). DESIGN.md §9 states the determinism contract: a replay
  * of `captureTrace(profile, core, N)` under the profile that captured
- * it produces byte-identical results JSON to the synthetic run, serial
- * or sharded.
+ * it produces byte-identical results JSON to the synthetic run.
  */
 
 #ifndef COP_TRACE_REPLAY_HPP
@@ -51,10 +50,10 @@ class TraceReplayGenerator : public EpochSource
 
 /**
  * EpochSourceFactory over one trace file per core (core c replays
- * paths[c]). Every factory call opens a fresh source, so the System
- * core and any shard-worker replicas each stream the file
- * independently. @p profile is captured by reference — the caller
- * keeps it alive for the System's lifetime, as usual.
+ * paths[c]). Every factory call opens a fresh source, so each
+ * fast-timing shard System streams the file independently. @p profile
+ * is captured by reference — the caller keeps it alive for the
+ * System's lifetime, as usual.
  */
 EpochSourceFactory
 makeTraceReplayFactory(const WorkloadProfile &profile,

@@ -1,4 +1,4 @@
-#include "sim/trace_io.hpp"
+#include "trace/trace_io.hpp"
 
 #include <istream>
 #include <ostream>

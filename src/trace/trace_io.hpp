@@ -19,13 +19,14 @@
  * constructor when known. finish() is fatal if the sink failed — a
  * disk-full capture can no longer masquerade as a complete trace.
  *
- * Reading lives in src/trace/ (TraceSource and friends): this header
- * keeps TraceReader as an alias of the binary reader so existing
- * capture/summarise call sites stay source-compatible.
+ * Reading lives in the streaming sources beside this writer
+ * (TraceSource and friends): this header keeps TraceReader as an alias
+ * of the binary reader so existing capture/summarise call sites stay
+ * source-compatible.
  */
 
-#ifndef COP_SIM_TRACE_IO_HPP
-#define COP_SIM_TRACE_IO_HPP
+#ifndef COP_TRACE_TRACE_IO_HPP
+#define COP_TRACE_TRACE_IO_HPP
 
 #include <ios>
 #include <iosfwd>
@@ -117,4 +118,4 @@ u64 captureTrace(const WorkloadProfile &profile, unsigned core_id,
 
 } // namespace cop
 
-#endif // COP_SIM_TRACE_IO_HPP
+#endif // COP_TRACE_TRACE_IO_HPP

@@ -10,6 +10,7 @@
 
 #include "core/codec.hpp"
 #include "test_blocks.hpp"
+#include "test_printers.hpp"
 
 namespace cop {
 namespace {

@@ -6,9 +6,9 @@
  * diverge from the simThreads=1 oracle, but only within a pinned
  * epsilon, deterministically (two fast runs of the same configuration
  * are byte-identical to *each other*), and visibly (the ft_* results
- * fields report the approximation, never hide it). The exact modes —
- * serial and simThreads>1 with fastTiming off — must be entirely
- * unaffected.
+ * fields report the approximation, never hide it). The serial oracle
+ * must be entirely unaffected, and simThreads without fastTiming is
+ * rejected.
  */
 
 #include <gtest/gtest.h>
@@ -168,21 +168,22 @@ TEST(FastTiming, SharedFootprintVersionsReconcile)
     EXPECT_EQ(fast.instructions, oracle.instructions);
 }
 
-TEST(FastTiming, ExactShardedModeIsUntouched)
+TEST(FastTiming, SerialRunReportsNoFastTimingState)
 {
-    // simThreads>1 with fastTiming off keeps the byte-identity
-    // contract: no ft fields, no ambient model, same JSON as serial.
+    // The serial oracle carries no trace of the relaxed mode: no ft
+    // fields, no ambient contention model.
     const auto &profile = WorkloadRegistry::byName("gcc");
     SystemConfig cfg = smallConfig(ControllerKind::Cop4);
     cfg.epochsPerCore = 600;
-    EXPECT_EQ(runJson(profile, cfg, 1, false),
-              runJson(profile, cfg, 3, false));
-    const SystemResults sharded = runOnce(profile, cfg, 3, false);
-    EXPECT_FALSE(sharded.fastTiming);
-    EXPECT_EQ(sharded.ftShards, 0u);
-    EXPECT_EQ(sharded.ftBarriers, 0u);
-    EXPECT_EQ(sharded.dram.ambientStallCycles, 0u);
-    EXPECT_EQ(sharded.dram.ambientRowCloses, 0u);
+    const SystemResults serial = runOnce(profile, cfg, 1, false);
+    EXPECT_FALSE(serial.fastTiming);
+    EXPECT_EQ(serial.ftShards, 0u);
+    EXPECT_EQ(serial.ftQuantumEpochs, 0u);
+    EXPECT_EQ(serial.ftBarriers, 0u);
+    EXPECT_EQ(serial.ftClockSkewMax, 0u);
+    EXPECT_EQ(serial.ftVersionMerges, 0u);
+    EXPECT_EQ(serial.dram.ambientStallCycles, 0u);
+    EXPECT_EQ(serial.dram.ambientRowCloses, 0u);
 }
 
 using FastTimingDeathTest = ::testing::Test;
@@ -215,6 +216,19 @@ TEST(FastTimingDeathTest, RejectsSingleThread)
     cfg.simThreads = 1;
     cfg.fastTiming = true;
     EXPECT_DEATH(System(profile, cfg), "simThreads >= 2");
+}
+
+TEST(FastTimingDeathTest, RejectsSimThreadsWithoutFastTiming)
+{
+    // simThreads is the fast-timing shard count; without fastTiming a
+    // value other than 1 would be silently ignored, so it is fatal.
+    const auto &profile = WorkloadRegistry::byName("gcc");
+    SystemConfig cfg = smallConfig(ControllerKind::Cop4);
+    cfg.fastTiming = false;
+    cfg.simThreads = 3;
+    EXPECT_DEATH(System(profile, cfg), "simThreads=3 needs fastTiming");
+    cfg.simThreads = 0;
+    EXPECT_DEATH(System(profile, cfg), "simThreads=0 needs fastTiming");
 }
 
 TEST(FastTimingDeathTest, RejectsZeroQuantum)

@@ -21,20 +21,10 @@
 #include "compress/combined.hpp"
 #include "compress/fpc.hpp"
 #include "core/codec.hpp"
+#include "test_printers.hpp"
 #include "workloads/block_gen.hpp"
 
 namespace cop {
-
-// gtest prints a pointer parameter as its address, which moves from run
-// to run; print the code's shape instead so the listed test names are
-// the same in every build. Found by argument-dependent lookup, so it
-// lives in HsiaoCode's own namespace.
-void
-PrintTo(const HsiaoCode *code, std::ostream *os)
-{
-    *os << "n" << code->codeBits() << "k" << code->dataBits();
-}
-
 namespace {
 
 std::unique_ptr<BlockCompressor>

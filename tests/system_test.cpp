@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "sim/system.hpp"
 
 namespace cop {
@@ -185,6 +188,51 @@ TEST(System, AddressOutsideFootprintRegionsPanics)
         sys.controller().read(2 * region - kBlockBytes, 0));
     EXPECT_DEATH(sys.controller().read(2 * region, 0),
                  "outside the 2 per-core footprint regions");
+}
+
+/** The synthetic generator, logging its core on every next() call. */
+class OrderLoggingSource : public EpochSource
+{
+  public:
+    OrderLoggingSource(const WorkloadProfile &profile, unsigned core,
+                       unsigned cache_entries, std::vector<unsigned> &log)
+        : gen_(profile, core, 0, cache_entries), core_(core), log_(log)
+    {
+    }
+
+    const Epoch &
+    next() override
+    {
+        log_.push_back(core_);
+        return gen_.next();
+    }
+
+    BlockContentPool &pool() override { return gen_.pool(); }
+    const BlockContentPool &pool() const override { return gen_.pool(); }
+
+  private:
+    TraceGenerator gen_;
+    unsigned core_;
+    std::vector<unsigned> &log_;
+};
+
+TEST(System, MergeLoopBreaksClockTiesByLowestCore)
+{
+    // Every core starts at clock 0, so the furthest-behind merge must
+    // break the first ties by core index: 0, 1, 2, 3. A tie-break
+    // change reorders the whole run's DRAM traffic.
+    const auto &profile = WorkloadRegistry::byName("gcc");
+    SystemConfig cfg = smallConfig(ControllerKind::Cop4, 4, 50);
+    std::vector<unsigned> order;
+    cfg.epochSource = [&](unsigned core, unsigned cache_entries) {
+        return std::make_unique<OrderLoggingSource>(profile, core,
+                                                    cache_entries, order);
+    };
+    System sys(profile, cfg);
+    (void)sys.run();
+    ASSERT_EQ(order.size(), 4u * 50u);
+    EXPECT_EQ(std::vector<unsigned>(order.begin(), order.begin() + 4),
+              (std::vector<unsigned>{0, 1, 2, 3}));
 }
 
 TEST(System, MoreCoresMoreContention)

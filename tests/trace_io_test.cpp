@@ -9,7 +9,7 @@
 
 #include <sstream>
 
-#include "sim/trace_io.hpp"
+#include "trace/trace_io.hpp"
 
 namespace cop {
 namespace {

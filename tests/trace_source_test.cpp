@@ -12,11 +12,11 @@
 #include <fstream>
 #include <sstream>
 
-#include "sim/trace_io.hpp"
 #include "trace/fit.hpp"
 #include "trace/format.hpp"
 #include "trace/gzip_source.hpp"
 #include "trace/text_source.hpp"
+#include "trace/trace_io.hpp"
 #include "trace/trace_source.hpp"
 
 namespace cop {
