@@ -39,6 +39,7 @@
 #include <string>
 #include <thread>
 
+#include "common/parse.hpp"
 #include "run_util.hpp"
 
 namespace cop {
@@ -254,8 +255,8 @@ main(int argc, char **argv)
             profile = argv[++i];
         } else if (std::strcmp(argv[i], "--threads") == 0 &&
                    i + 1 < argc) {
-            threads = static_cast<unsigned>(std::strtoul(argv[++i],
-                                                         nullptr, 10));
+            threads = static_cast<unsigned>(
+                cop::parsePositiveU64(argv[++i], "--threads"));
         } else {
             std::fprintf(
                 stderr,

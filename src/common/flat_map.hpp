@@ -7,14 +7,24 @@
  * of 64 and metadata spaces sit at 1<<40 / 1<<41 — the raw keys are
  * catastrophically non-uniform).
  *
- * Layout: a one-byte control array beside an unpadded (key, value)
- * slot array. A control byte is 0 for an empty slot, otherwise 0x80
- * plus the top 7 bits of the key's hash, so a probe walks the dense
- * control bytes and reads a slot's key only when the 7-bit fragment
- * matches. The home slot (low hash bits), the probe order, the
- * backward shift and the 7/8 growth rule do not depend on the control
- * bytes: every entry lands in the slot a plain linear-probing table
- * would give it, and iteration order is that table's slot order.
+ * Layout: a one-byte control array followed by an unpadded (key,
+ * value) slot array, in one block from allocateZeroed
+ * (common/zero_pages.hpp). A control byte is 0 for an empty slot,
+ * otherwise 0x80 plus the top 7 bits of the key's hash, so a probe
+ * walks the dense control bytes and reads a slot's key only when the
+ * 7-bit fragment matches. The home slot (low hash bits), the probe
+ * order, the backward shift and the 7/8 growth rule do not depend on
+ * the control bytes: every entry lands in the slot a plain
+ * linear-probing table would give it, and iteration order is that
+ * table's slot order.
+ *
+ * Storage: only the control bytes are ever relied on to read as zero.
+ * A slot is raw storage until an entry lands in it (placement-new in
+ * place()) and is destroyed when its entry leaves (the final hole of
+ * an erase, the old table of a rehash, clear, the destructor). So
+ * reserve() of a large table writes nothing: its pages stay untouched
+ * zero pages until a probe or an insert reaches them, and a table of
+ * 2 MB or more sits on huge pages.
  *
  * These replace std::unordered_map/set on the simulator's hot paths
  * (stored blocks, version maps, check sidecars), where the node-based
@@ -34,11 +44,14 @@
 #ifndef COP_COMMON_FLAT_MAP_HPP
 #define COP_COMMON_FLAT_MAP_HPP
 
+#include <cstddef>
+#include <new>
+#include <tuple>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/types.hpp"
+#include "common/zero_pages.hpp"
 
 namespace cop {
 
@@ -167,13 +180,23 @@ template <typename V> class FlatMap
     };
 
     FlatMap() = default;
+    FlatMap(const FlatMap &) = delete;
+    FlatMap &operator=(const FlatMap &) = delete;
+    FlatMap(FlatMap &&o) noexcept { swap(o); }
+    FlatMap &
+    operator=(FlatMap &&o) noexcept
+    {
+        FlatMap(std::move(o)).swap(*this);
+        return *this;
+    }
+    ~FlatMap() { release(); }
 
     /** Pre-size so @p n entries fit without rehashing. */
     void
     reserve(u64 n)
     {
         const u64 want = detail::flatCapacityFor(n + n / 7 + 1);
-        if (want > ctrl_.size())
+        if (want > capacity_)
             rehash(want);
     }
 
@@ -182,7 +205,7 @@ template <typename V> class FlatMap
     probe(u64 key) const
     {
         const u64 hash = detail::flatHash(key);
-        if (ctrl_.empty())
+        if (capacity_ == 0)
             return Probe(key, hash, 0, false);
         const u8 tag = detail::flatCtrl(hash);
         size_t pos = static_cast<size_t>(hash) & mask_;
@@ -283,56 +306,79 @@ template <typename V> class FlatMap
                 hole = next;
             }
         }
-        slots_[hole] = value_type();
+        slots_[hole].~value_type();
         ctrl_[hole] = 0;
         --size_;
         return 1;
     }
 
-    void
-    clear()
-    {
-        slots_.clear();
-        ctrl_.clear();
-        mask_ = 0;
-        size_ = 0;
-    }
+    /** Drop every entry and the table itself (capacity() becomes 0). */
+    void clear() { FlatMap().swap(*this); }
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     /** Allocated slot count (load-factor observability). */
-    u64 capacity() const { return ctrl_.size(); }
+    u64 capacity() const { return capacity_; }
 
     iterator begin() { return iteratorAt(0); }
-    iterator end() { return iteratorAt(ctrl_.size()); }
+    iterator end() { return iteratorAt(capacity_); }
     const_iterator begin() const { return iteratorAt(0); }
-    const_iterator end() const { return iteratorAt(ctrl_.size()); }
+    const_iterator end() const { return iteratorAt(capacity_); }
 
   private:
+    static_assert(alignof(value_type) <= 16,
+                  "slots follow a control array of 16n bytes");
+
     iterator
     iteratorAt(size_t pos)
     {
-        const u8 *ctrl = ctrl_.data();
-        return iterator(ctrl + pos, ctrl + ctrl_.size(),
-                        slots_.data() + pos);
+        return iterator(ctrl_ + pos, ctrl_ + capacity_, slots_ + pos);
     }
 
     const_iterator
     iteratorAt(size_t pos) const
     {
-        const u8 *ctrl = ctrl_.data();
-        return const_iterator(ctrl + pos, ctrl + ctrl_.size(),
-                              slots_.data() + pos);
+        return const_iterator(ctrl_ + pos, ctrl_ + capacity_, slots_ + pos);
     }
 
     /** Would one more entry cross the 7/8 load (or is there no table)? */
     bool
     needsGrowth() const
     {
-        return ctrl_.empty() || size_ + 1 > ctrl_.size() - ctrl_.size() / 8;
+        return capacity_ == 0 || size_ + 1 > capacity_ - capacity_ / 8;
     }
 
-    void grow() { rehash(ctrl_.empty() ? 16 : ctrl_.size() * 2); }
+    void grow() { rehash(capacity_ == 0 ? 16 : capacity_ * 2); }
+
+    /** Bytes of the one block holding @p capacity control bytes and slots. */
+    static size_t
+    blockBytes(size_t capacity)
+    {
+        return capacity * (1 + sizeof(value_type));
+    }
+
+    void
+    swap(FlatMap &o) noexcept
+    {
+        std::swap(ctrl_, o.ctrl_);
+        std::swap(slots_, o.slots_);
+        std::swap(capacity_, o.capacity_);
+        std::swap(mask_, o.mask_);
+        std::swap(size_, o.size_);
+    }
+
+    /** Destroy every entry and free the block (the members go stale). */
+    void
+    release()
+    {
+        if constexpr (!std::is_trivially_destructible_v<value_type>) {
+            for (size_t i = 0; i < capacity_; ++i) {
+                if (ctrl_[i] != 0)
+                    slots_[i].~value_type();
+            }
+        }
+        freeZeroed(ctrl_, blockBytes(capacity_));
+    }
 
     /** First empty slot on the probe chain of a key hashing to @p hash. */
     size_t
@@ -348,33 +394,42 @@ template <typename V> class FlatMap
     value_type &
     place(size_t pos, u64 key, u64 hash, Args &&...args)
     {
-        slots_[pos] = value_type(key, V(std::forward<Args>(args)...));
+        value_type *slot = ::new (static_cast<void *>(slots_ + pos))
+            value_type(std::piecewise_construct, std::forward_as_tuple(key),
+                       std::forward_as_tuple(std::forward<Args>(args)...));
         ctrl_[pos] = detail::flatCtrl(hash);
         ++size_;
-        return slots_[pos];
+        return *slot;
     }
 
     void
     rehash(u64 new_capacity)
     {
-        std::vector<value_type> old_slots = std::move(slots_);
-        std::vector<u8> old_ctrl = std::move(ctrl_);
-        slots_.assign(static_cast<size_t>(new_capacity), value_type());
-        ctrl_.assign(static_cast<size_t>(new_capacity), 0);
-        mask_ = static_cast<size_t>(new_capacity - 1);
-        for (size_t i = 0; i < old_ctrl.size(); ++i) {
-            if (old_ctrl[i] == 0)
+        const size_t cap = static_cast<size_t>(new_capacity);
+        u8 *block = static_cast<u8 *>(allocateZeroed(blockBytes(cap)));
+        FlatMap old;
+        swap(old);
+        ctrl_ = block;
+        slots_ = reinterpret_cast<value_type *>(ctrl_ + cap);
+        capacity_ = cap;
+        mask_ = cap - 1;
+        size_ = old.size_;
+        for (size_t i = 0; i < old.capacity_; ++i) {
+            if (old.ctrl_[i] == 0)
                 continue;
-            const u64 hash = detail::flatHash(old_slots[i].first);
-            const size_t pos = emptySlotFor(hash);
-            slots_[pos] = std::move(old_slots[i]);
-            ctrl_[pos] = old_ctrl[i];
+            value_type &entry = old.slots_[i];
+            const size_t pos = emptySlotFor(detail::flatHash(entry.first));
+            ::new (static_cast<void *>(slots_ + pos))
+                value_type(std::move(entry));
+            ctrl_[pos] = old.ctrl_[i];
         }
     }
 
-    std::vector<value_type> slots_;
-    /** 0 = empty, else flatCtrl(hash of the slot's key). */
-    std::vector<u8> ctrl_;
+    /** Start of the block; 0 = empty, else flatCtrl(hash of the key). */
+    u8 *ctrl_ = nullptr;
+    /** capacity_ slots right after the control bytes; raw when empty. */
+    value_type *slots_ = nullptr;
+    size_t capacity_ = 0;
     size_t mask_ = 0;
     size_t size_ = 0;
 };

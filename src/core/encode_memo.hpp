@@ -24,9 +24,8 @@
 #ifndef COP_CORE_ENCODE_MEMO_HPP
 #define COP_CORE_ENCODE_MEMO_HPP
 
-#include <vector>
-
 #include "common/plru.hpp"
+#include "common/zero_pages.hpp"
 #include "core/codec.hpp"
 
 namespace cop {
@@ -49,7 +48,7 @@ class EncodeMemo
             unsigned sets = 1;
             while (sets * kWays < entries)
                 sets <<= 1;
-            sets_.resize(sets);
+            sets_ = ZeroedArray<Set>(sets);
             mask_ = sets - 1;
         }
     }
@@ -114,6 +113,12 @@ class EncodeMemo
         CopEncodeResult result;
     };
 
+    /**
+     * All-zero bytes are an empty set (no valid way, PLRU state 0), so
+     * the set array lives on zero pages (common/zero_pages.hpp) and no
+     * set is written before its first fill. A way's entry is read only
+     * while its valid bit is set, after a fill has written all of it.
+     */
     struct Set
     {
         /** Content hash of each valid way's key. */
@@ -137,7 +142,7 @@ class EncodeMemo
         return h;
     }
 
-    std::vector<Set> sets_;
+    ZeroedArray<Set> sets_;
     u64 mask_ = 0;
     u64 lookups_ = 0;
     u64 hits_ = 0;

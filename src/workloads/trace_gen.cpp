@@ -89,7 +89,7 @@ BlockContentPool::blockForRef(Addr block_addr) const
         return scratch_;
     }
     if (cache_.empty())
-        cache_.resize(cacheSlots_);
+        cache_ = ZeroedArray<CacheSlot>(cacheSlots_);
 
     // Direct-mapped on the block index: the hot working set is a
     // contiguous slice of the footprint, so it maps conflict-free. A

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "common/zero_pages.hpp"
 #include "workloads/profile.hpp"
 
 namespace cop {
@@ -138,7 +139,7 @@ class BlockContentPool
     u64 versionMapSlots() const { return versions_.capacity(); }
 
   private:
-    /** One direct-mapped content-cache slot. */
+    /** One direct-mapped content-cache slot; all-zero bytes = empty. */
     struct CacheSlot
     {
         Addr addr = 0;
@@ -162,11 +163,11 @@ class BlockContentPool
     FlatMap<u32> versions_;
     /**
      * blockFor is logically const; the cache and counters are not.
-     * Allocated lazily on the first blockFor call — pools on cores
-     * that never miss (or Systems built only to read config) skip the
-     * multi-megabyte zero-fill entirely.
+     * Allocated on the first blockFor call, on zero pages
+     * (common/zero_pages.hpp): no slot is written before its first
+     * fill, and pools on cores that never miss allocate nothing.
      */
-    mutable std::vector<CacheSlot> cache_;
+    mutable ZeroedArray<CacheSlot> cache_;
     u64 cacheSlots_ = 0;
     u64 cacheMask_ = 0;
     /** blockForRef return storage when the cache is disabled. */
